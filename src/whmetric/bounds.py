@@ -7,7 +7,8 @@ space that corrects every error of weighted weight up to t:
 * covering: existence bound from the ball's difference set,
 * singleton: capability of the forced low-support codeword,
 * lp: Delsarte-style linear program over block-weight enumerators with
-  Krawtchouk coefficient constraints, solved exactly over rationals.
+  Krawtchouk coefficient constraints, presolved and solved exactly; the
+  witness is re-checked against the unreduced constraints.
 
 Packing and covering round through exact integer power comparisons, and
 the LP optimum is converted to a dimension by exact comparison against
@@ -24,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from .errors import DefectError, ParameterError
 from .metric import WeightedSpace
@@ -97,25 +98,31 @@ def singleton_k_for_t(space: WeightedSpace, t: int) -> int:
 
 
 def _assemble_lp(space: WeightedSpace, t: int):
-    profiles = list(product(*(range(b + 1) for b in space.blocks)))
-    index = {p: i for i, p in enumerate(profiles)}
-    nvars = len(profiles)
-    zero = (0,) * space.m
-    forbidden = [p for p in space.diff_ball_profiles(t) if p != zero]
+    """The Delsarte LP for capability t, with its fixed variables presolved.
 
-    rows = []
-    unit = [0] * nvars
-    unit[index[zero]] = 1
-    rows.append((list(unit), "==", 1))
-    for p in forbidden:
-        row = [0] * nvars
-        row[index[p]] = 1
-        rows.append((row, "==", 0))
+    The unknowns are the block-weight enumerator entries A_i of a code,
+    one per profile i.  A_0 = 1, and A_p = 0 for every nonzero profile p
+    in the difference ball of radius t, since two codewords never
+    differ by such a profile.  Substituting those out leaves the free
+    entries x with K(j, 0) + sum_i K(j, i) x_i >= 0 for every profile j,
+    posed as -K'x <= K(j, 0), where K(j, 0) > 0.  The j = 0 row reads
+    sum x >= -1 and always holds, so it is dropped.  The code size is
+    1 + sum x; the LP maximizes sum x.
+
+    Returns (lp, kmat, free): the LP (None when no entry is free), the
+    full Krawtchouk matrix kmat[j][i] in profile order, and the profile
+    index of each LP variable.
+    """
+    profiles = list(product(*(range(b + 1) for b in space.blocks)))
+    fixed = set(space.diff_ball_profiles(t))
+    fixed.add(profiles[0])  # the zero profile: A_0 = 1
+    free = [i for i, p in enumerate(profiles) if p not in fixed]
 
     ktab = [
         [[krawtchouk(space.q, b, j, i) for i in range(b + 1)] for j in range(b + 1)]
         for b in space.blocks
     ]
+    kmat = []
     for jprof in profiles:
         row = []
         for iprof in profiles:
@@ -123,19 +130,42 @@ def _assemble_lp(space: WeightedSpace, t: int):
             for l in range(space.m):
                 coeff *= ktab[l][jprof[l]][iprof[l]]
             row.append(coeff)
-        rows.append((row, ">=", 0))
+        kmat.append(row)
 
-    return LinearProgram(objective=[1] * nvars, rows=rows)
+    if not free:
+        return None, kmat, free
+    rows = [([-krow[i] for i in free], "<=", krow[0]) for krow in kmat[1:]]
+    return LinearProgram(objective=[1] * len(free), rows=rows), kmat, free
+
+
+def _check_enumerator(kmat, enumerator):
+    """Re-substitute an LP witness into the unreduced Delsarte rows."""
+    den = lcm(*(a.denominator for a in enumerator))
+    ints = [a.numerator * (den // a.denominator) for a in enumerator]
+    if any(a < 0 for a in ints):
+        raise DefectError("LP witness has a negative enumerator entry")
+    for krow in kmat:
+        if sum(k * a for k, a in zip(krow, ints) if a) < 0:
+            raise DefectError("LP witness violates a Delsarte constraint")
 
 
 def lp_bound_detail(space: WeightedSpace, t: int):
     """LP dimension bound together with the exact rational LP optimum."""
     if t < 0:
         raise ParameterError("capability must be non-negative")
-    result = solve_max(_assemble_lp(space, t))
-    if result.status != "optimal":
-        raise DefectError(f"capability LP reported {result.status}; it is always feasible and bounded")
-    opt = result.value
+    lp, kmat, free = _assemble_lp(space, t)
+    enumerator = [Fraction(0)] * len(kmat)
+    enumerator[0] = Fraction(1)
+    if free:
+        result = solve_max(lp)
+        if result.status != "optimal":
+            raise DefectError(
+                f"capability LP reported {result.status}; it is always feasible and bounded"
+            )
+        for i, x in zip(free, result.solution):
+            enumerator[i] = x
+    _check_enumerator(kmat, enumerator)
+    opt = sum(enumerator)
     k = 0
     while k < space.n and Fraction(space.q) ** (k + 1) <= opt:
         k += 1

@@ -158,16 +158,21 @@ def parse_config(path) -> RunConfig:
 # -- component-code mini language -------------------------------------------
 
 
+def _spec_int(text, spec):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"expected an integer, got {text!r} in spec {spec!r}") from None
+
+
 def _parse_rows(field, text):
     rows = []
     for chunk in text.split("|"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "," in chunk:
-            rows.append(tuple(int(tok) for tok in chunk.split(",")))
-        else:
-            rows.append(tuple(int(ch) for ch in chunk))
+        tokens = chunk.split(",") if "," in chunk else chunk
+        rows.append(tuple(_spec_int(tok, text) for tok in tokens))
     if not rows:
         raise ParameterError("rows: spec contains no rows")
     return rows
@@ -180,11 +185,11 @@ def parse_code_spec(field, spec, expected_n, base_dir="."):
     head = head.strip().lower()
     if head in ("repetition", "parity", "full", "hamming", "rs", "reed_solomon"):
         parts = [p for p in rest.split(":") if p] if rest else []
-        n = int(parts[0]) if parts else expected_n
+        n = _spec_int(parts[0], spec) if parts else expected_n
         if head in ("rs", "reed_solomon"):
             if len(parts) != 2:
                 raise ParameterError(f"Reed-Solomon spec needs rs:<n>:<k>, got {spec!r}")
-            code = named_code("reed_solomon", field, n, int(parts[1]))
+            code = named_code("reed_solomon", field, n, _spec_int(parts[1], spec))
         elif head == "repetition":
             code = named_code(head, field, n, 1)
         elif head == "parity":
@@ -226,7 +231,7 @@ def parse_outer_spec(field, spec, widths, base_dir="."):
         parts = [p for p in rest.split(":") if p]
         if len(parts) != 3:
             raise ParameterError(f"mother spec needs mother:<family>:<n>:<k>, got {spec!r}")
-        family, n, k = parts[0], int(parts[1]), int(parts[2])
+        family, n, k = parts[0], _spec_int(parts[1], spec), _spec_int(parts[2], spec)
         m = len(widths)
         if n != m:
             raise ParameterError(f"mother length {n} must equal the block count {m}")
@@ -399,6 +404,10 @@ def cmd_decode(args):
         word = tuple(int(tok) for tok in tokens)
     except ValueError:
         raise ParameterError("received word must be whitespace-separated integers") from None
+    q = cfg.space.q
+    bad = next((s for s in word if not 0 <= s < q), None)
+    if bad is not None:
+        raise ParameterError(f"received symbol {bad} is outside the field [0, {q})")
     report = gcc_decode(gcc, word)
     _emit(report.to_json(), args, cfg)
     return 0
@@ -505,6 +514,9 @@ def main(argv=None) -> int:
         return 3
     except DefectError as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # any other escape is a defect, reported as exit 4
+        print(f"internal defect: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from helpers import F7, two_block_code
+from whmetric import bounds as bounds_module
 from whmetric.bounds import (
     build_bound_table,
     capability_range_from_distance,
@@ -17,9 +19,10 @@ from whmetric.bounds import (
     singleton_k_for_t,
 )
 from whmetric.code import named_code
-from whmetric.errors import ParameterError
+from whmetric.errors import DefectError, ParameterError
 from whmetric.metric import WeightedSpace
 from whmetric.oracle import block_weight_enumerator
+from whmetric.ratlp import LinearProgram, LpResult, solve_max
 
 
 def test_krawtchouk_at_zero():
@@ -150,3 +153,45 @@ def test_true_enumerators_satisfy_lp_constraints():
                     coeff *= krawtchouk(space.q, space.blocks[l], jprof[l], iprof[l])
                 total += coeff * count
             assert total >= 0, (jprof, total)
+
+
+def _unreduced_delsarte_lp(space, t):
+    """The Delsarte LP with every enumerator entry a variable: A_0 == 1,
+    A_p == 0 on the nonzero difference-ball profiles, Krawtchouk rows >= 0."""
+    profiles = list(product(*(range(b + 1) for b in space.blocks)))
+    zero = profiles[0]
+    rows = []
+    for p in [zero] + [p for p in space.diff_ball_profiles(t) if p != zero]:
+        unit = [int(p == other) for other in profiles]
+        rows.append((unit, "==", int(p == zero)))
+    for jprof in profiles:
+        row = []
+        for iprof in profiles:
+            coeff = 1
+            for l in range(space.m):
+                coeff *= krawtchouk(space.q, space.blocks[l], jprof[l], iprof[l])
+            row.append(coeff)
+        rows.append((row, ">=", 0))
+    return LinearProgram(objective=[1] * len(profiles), rows=rows)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("blocks, scales", (((3, 3), (1, 2)), ((2, 2, 2), (1, 1, 2))))
+def test_presolved_lp_matches_unreduced_two_phase_lp(q, blocks, scales):
+    space = WeightedSpace(q, blocks, scales)
+    for t in range(space.max_weight + 1):
+        reference = solve_max(_unreduced_delsarte_lp(space, t))
+        assert reference.status == "optimal"
+        assert lp_bound_detail(space, t)[1] == reference.value, t
+
+
+def test_lp_witness_is_checked_on_unreduced_rows(monkeypatch):
+    # a witness that breaks a Delsarte row must not become a bound
+    def bogus(lp):
+        solution = [Fraction(0)] * len(lp.objective)
+        solution[-1] = Fraction(10**6)
+        return LpResult(status="optimal", value=sum(solution), solution=solution)
+
+    monkeypatch.setattr(bounds_module, "solve_max", bogus)
+    with pytest.raises(DefectError, match="Delsarte"):
+        lp_bound_detail(SP2, 3)

@@ -1,5 +1,6 @@
 import json
 
+from whmetric import cli
 from whmetric.cli import main
 
 SPACE_33 = """
@@ -294,3 +295,45 @@ outer.1 = full
     code, out = run(capsys, ["construct", "--config", cfg])
     assert code == 0
     assert out.splitlines()[1] == "6,4,2,1"
+
+
+def test_decode_rejects_out_of_field_symbols(tmp_path, capsys):
+    cfg = write(tmp_path, "two.cfg", TWO_BLOCK)
+    for word in ("1 1 1 0 0 -1\n", "1 1 5 0 0 1\n"):
+        received = write(tmp_path, "word.txt", word)
+        assert main(["decode", "--config", cfg, received]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the field" in captured.err
+
+
+def test_malformed_specs_exit_2(tmp_path, capsys):
+    for chain, outer in (
+        ("repetition:abc", "full"),
+        ("rows:1x1", "full"),
+        ("repetition:3", "mother:parity:two:1"),
+    ):
+        cfg = write(
+            tmp_path,
+            "bad.cfg",
+            SPACE_33
+            + f"""
+[gcc]
+levels = 1
+chain.1 = {chain}
+chain.2 = parity:3
+outer.1 = {outer}
+""",
+        )
+        assert main(["construct", "--config", cfg]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+
+
+def test_unexpected_errors_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "build_bound_table", broken)
+    cfg = write(tmp_path, "space.cfg", SPACE_33)
+    assert main(["bounds", "--config", cfg, "--t-max", "1"]) == 4
+    assert capsys.readouterr().err == "internal defect: ZeroDivisionError: boom\n"

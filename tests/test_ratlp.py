@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from whmetric.errors import ParameterError
+from whmetric import ratlp
+from whmetric.errors import DefectError, ParameterError
 from whmetric.ratlp import LinearProgram, solve_max
 
 
@@ -154,3 +155,60 @@ def test_random_small_programs_match_vertex_enumeration():
         else:
             assert res.status == "optimal", f"case {case}"
             assert res.value == expected, f"case {case}"
+
+
+# -- dual certificate ----------------------------------------------------------
+
+
+def test_dual_multipliers_certify_the_optimum():
+    lp = LinearProgram(objective=[1, 1], rows=[([1, 2], "<=", 4), ([3, 1], "<=", 6)])
+    res = solve_max(lp)
+    assert res.dual == [Fraction(2, 5), Fraction(1, 5)]
+    mixed = LinearProgram(
+        objective=[1, -1],
+        rows=[([1, 0], "<=", 5), ([0, 1], "==", 2), ([-1, 0], ">=", -5)],
+        nonneg=[True, False],
+    )
+    res = solve_max(mixed)
+    assert res.value == 3
+    assert len(res.dual) == 3
+    assert res.dual[0] >= 0 and res.dual[2] <= 0
+    assert sum(y * rhs for y, (_, _, rhs) in zip(res.dual, mixed.rows)) == 3
+
+
+@pytest.mark.parametrize(
+    "dual, reason",
+    (
+        ([Fraction(7, 5), Fraction(1, 5)], "dual objective"),
+        ([Fraction(0), Fraction(7, 15)], "dual constraint"),  # same objective
+        ([Fraction(-2, 5), Fraction(11, 15)], "wrong sign"),  # same objective
+        ([Fraction(2, 5)], "one multiplier per row"),
+    ),
+)
+def test_tampered_dual_is_rejected(dual, reason):
+    lp = LinearProgram(objective=[1, 1], rows=[([1, 2], "<=", 4), ([3, 1], "<=", 6)])
+    res = solve_max(lp)
+    ratlp._verify(lp, res.solution, res.value, res.dual)
+    with pytest.raises(DefectError, match=reason):
+        ratlp._verify(lp, res.solution, res.value, dual)
+
+
+def test_redundant_equality_keeps_a_certified_dual():
+    # the second equality repeats the first, so one artificial stays basic
+    lp = LinearProgram(
+        objective=[1, 2],
+        rows=[([1, 1], "==", 2), ([2, 2], "==", 4), ([1, 0], "<=", 1)],
+    )
+    res = solve_max(lp)
+    assert res.value == 4
+    assert res.solution == [0, 2]
+    assert len(res.dual) == 3
+
+
+def test_free_variable_needs_dual_equality():
+    lp = LinearProgram(objective=[1], rows=[([1], "<=", -1), ([1], ">=", -5)], nonneg=[False])
+    res = solve_max(lp)
+    assert res.value == -1 and res.dual == [1, 0]
+    # same objective and signs; A^T y >= c holds on the free column, equality does not
+    with pytest.raises(DefectError, match="dual constraint"):
+        ratlp._verify(lp, res.solution, res.value, [Fraction(6), Fraction(-1)])
