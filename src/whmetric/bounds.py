@@ -134,7 +134,7 @@ def _assemble_lp(space: WeightedSpace, t: int):
 
     if not free:
         return None, kmat, free
-    rows = [([-krow[i] for i in free], "<=", krow[0]) for krow in kmat[1:]]
+    rows = [([-krow[i] for i in free], krow[0]) for krow in kmat[1:]]
     return LinearProgram(objective=[1] * len(free), rows=rows), kmat, free
 
 

@@ -33,16 +33,12 @@ from .code import (
     load_matrix_file,
     named_code,
 )
-from .construct import (
-    build_gcc,
-    pareto_frontier,
-    permute_symbols,
-    poly_from_mother,
-    search_constructions,
-)
+from .construct import build_gcc, outer_code, pareto_frontier, search_constructions
 from .decode import gcc_decode
 from .errors import DefectError, ExhaustionError, ParameterError
-from .field import make_extension_field, make_prime_field
+# make_extension_field is unused here but stays importable from this
+# module: perfbench/test_perfbench.py checks that its tracer rebinds it.
+from .field import make_extension_field, make_prime_field  # noqa: F401
 from .metric import WeightedSpace
 
 _SECTIONS = {"space", "gcc", "limits", "output", "search"}
@@ -190,17 +186,8 @@ def parse_code_spec(field, spec, expected_n, base_dir="."):
             if len(parts) != 2:
                 raise ParameterError(f"Reed-Solomon spec needs rs:<n>:<k>, got {spec!r}")
             code = named_code("reed_solomon", field, n, _spec_int(parts[1], spec))
-        elif head == "repetition":
-            code = named_code(head, field, n, 1)
-        elif head == "parity":
-            code = named_code(head, field, n, n - 1)
-        elif head == "full":
-            code = named_code(head, field, n, n)
-        else:  # hamming: infer the redundancy from the length
-            r = 2
-            while (field.order**r - 1) // (field.order - 1) < n:
-                r += 1
-            code = named_code(head, field, n, n - r)
+        else:  # the family fixes the dimension
+            code = named_code(head, field, n)
     elif head == "rows":
         code = LinearCode(field, _parse_rows(field, rest))
     elif head == "file":
@@ -221,29 +208,15 @@ def parse_outer_spec(field, spec, widths, base_dir="."):
     head, _, rest = spec.partition(":")
     head = head.strip().lower()
     if head == "full":
-        rows = []
-        for i in range(total):
-            row = [0] * total
-            row[i] = 1
-            rows.append(tuple(row))
-        return PolyalphabeticCode(field, widths, rows)
+        return outer_code(field, widths)
     if head == "mother":
         parts = [p for p in rest.split(":") if p]
         if len(parts) != 3:
             raise ParameterError(f"mother spec needs mother:<family>:<n>:<k>, got {spec!r}")
         family, n, k = parts[0], _spec_int(parts[1], spec), _spec_int(parts[2], spec)
-        m = len(widths)
-        if n != m:
-            raise ParameterError(f"mother length {n} must equal the block count {m}")
-        order = sorted(range(m), key=lambda l: (widths[l], l))
-        sorted_sizes = [widths[l] for l in order]
-        ext = make_extension_field(field.q, sorted_sizes[k - 1])
-        mother = named_code(family, ext, n, k)
-        poly = poly_from_mother(mother, sorted_sizes)
-        inverse = [0] * m
-        for new, old in enumerate(order):
-            inverse[old] = new
-        return permute_symbols(poly, inverse)
+        if n != len(widths):
+            raise ParameterError(f"mother length {n} must equal the block count {len(widths)}")
+        return outer_code(field, widths, family, k)
     if head == "rows":
         return PolyalphabeticCode(field, widths, _parse_rows(field, rest))
     if head == "file":
@@ -474,16 +447,13 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the run configuration")
-    common.add_argument("--t-min", type=int, default=None)
-    common.add_argument("--t-max", type=int, default=None)
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument(
-        "--seed", type=int, default=1, help="seed for sampled verification paths"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", parents=[common], help="dimension-bound table over a radius range")
+    p.add_argument("--t-min", type=int, default=None)
+    p.add_argument("--t-max", type=int, default=None)
     p.set_defaults(func=cmd_bounds)
     p = sub.add_parser("construct", parents=[common], help="assemble the configured code")
     p.set_defaults(func=cmd_construct)
@@ -496,6 +466,7 @@ def build_parser():
     p = sub.add_parser("search", parents=[common], help="enumerate component menus, report frontiers")
     p.set_defaults(func=cmd_search)
     p = sub.add_parser("enumerate", parents=[common], help="list ball or difference-set profiles")
+    p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--set", choices=("ball", "diff"), default="ball")
     p.set_defaults(func=cmd_enumerate)
     return parser

@@ -54,6 +54,16 @@ def hamming_distance(u, v):
     return sum(1 for a, b in zip(u, v) if a != b)
 
 
+def _encode(field, rows, message, length):
+    """The combination sum(message[i] * rows[i]), each symbol validated."""
+    out = (0,) * length
+    for c, row in zip(message, rows):
+        field.validate(c)
+        if c:
+            out = vec_add(field, out, vec_scale(field, c, row))
+    return out
+
+
 def row_reduce(field, rows):
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     work = [list(r) for r in rows]
@@ -218,12 +228,7 @@ class LinearCode:
     def encode(self, message):
         if len(message) != self.k:
             raise ParameterError(f"message length {len(message)} != dimension {self.k}")
-        out = (0,) * self.n
-        for c, row in zip(message, self.generator):
-            self.field.validate(c)
-            if c:
-                out = vec_add(self.field, out, vec_scale(self.field, c, row))
-        return out
+        return _encode(self.field, self.generator, message, self.n)
 
     def syndrome(self, v):
         if len(v) != self.n:
@@ -429,12 +434,7 @@ class PolyalphabeticCode:
     def encode(self, message):
         if len(message) != self.k:
             raise ParameterError(f"message length {len(message)} != dimension {self.k}")
-        out = (0,) * self.total_length
-        for c, row in zip(message, self.generator):
-            self.field.validate(c)
-            if c:
-                out = vec_add(self.field, out, vec_scale(self.field, c, row))
-        return out
+        return _encode(self.field, self.generator, message, self.total_length)
 
     def codewords(self):
         return _stream_combinations(self.field, self.generator, self.total_length)
@@ -540,12 +540,7 @@ class NestedChain:
             raise ParameterError(
                 f"level {level + 1} message length {len(message)} != width {len(rows)}"
             )
-        out = (0,) * self.n
-        for c, row in zip(message, rows):
-            self.field.validate(c)
-            if c:
-                out = vec_add(self.field, out, vec_scale(self.field, c, row))
-        return out
+        return _encode(self.field, rows, message, self.n)
 
     def quotient_message(self, level, b):
         """Recover the level message from any b in B_level; inverse of
@@ -565,11 +560,20 @@ class NestedChain:
 
 # -- code families and matrix files ----------------------------------------
 
-NAMED_FAMILIES = ("repetition", "parity", "full", "hamming", "reed_solomon", "custom")
+NAMED_FAMILIES = ("repetition", "parity", "full", "hamming", "reed_solomon")
 
 
-def named_code(family, field, n, k):
-    """Canonical generator for a named family, as an [n, k] code."""
+def _fixed_dimension(k, dim, message):
+    if k is not None and k != dim:
+        raise ParameterError(message)
+
+
+def named_code(family, field, n, k=None):
+    """Canonical generator for a named family, as an [n, k] code.
+
+    Every family but Reed-Solomon fixes the dimension by the length, so
+    there ``k`` may be left out; when given, it must match.
+    """
     family = str(family).lower()
     if family == "rs":
         family = "reed_solomon"
@@ -577,17 +581,11 @@ def named_code(family, field, n, k):
         raise ParameterError(f"unknown code family {family!r}; choose from {NAMED_FAMILIES}")
     if n < 1:
         raise ParameterError("length must be positive")
-    if family == "custom":
-        raise ParameterError(
-            "custom codes are built from explicit rows (LinearCode) or a matrix file"
-        )
     if family == "repetition":
-        if k != 1:
-            raise ParameterError(f"repetition code has dimension 1, got k={k}")
+        _fixed_dimension(k, 1, f"repetition code has dimension 1, got k={k}")
         return LinearCode(field, [(1,) * n])
     if family == "parity":
-        if k != n - 1:
-            raise ParameterError(f"parity-check code of length {n} has dimension {n - 1}")
+        _fixed_dimension(k, n - 1, f"parity-check code of length {n} has dimension {n - 1}")
         minus_one = field.neg(1)
         rows = []
         for i in range(n - 1):
@@ -597,8 +595,7 @@ def named_code(family, field, n, k):
             rows.append(tuple(row))
         return LinearCode(field, rows)
     if family == "full":
-        if k != n:
-            raise ParameterError(f"the full space of length {n} has dimension {n}")
+        _fixed_dimension(k, n, f"the full space of length {n} has dimension {n}")
         rows = []
         for i in range(n):
             row = [0] * n
@@ -613,8 +610,7 @@ def named_code(family, field, n, k):
             length = (order**r - 1) // (order - 1)
         if length != n:
             raise ParameterError(f"no Hamming code of length {n} over a field of order {order}")
-        if k != n - r:
-            raise ParameterError(f"Hamming code of length {n} has dimension {n - r}")
+        _fixed_dimension(k, n - r, f"Hamming code of length {n} has dimension {n - r}")
         columns = []
         for v in range(1, order**r):
             digits = []
@@ -631,7 +627,7 @@ def named_code(family, field, n, k):
         raise ParameterError(
             f"Reed-Solomon needs n <= field order, got n={n} over order {field.order}"
         )
-    if not 1 <= k <= n:
+    if k is None or not 1 <= k <= n:
         raise ParameterError(f"Reed-Solomon dimension must be in [1, {n}], got {k}")
     points = list(range(1, field.order)) + [0]
     points = points[:n]

@@ -103,6 +103,32 @@ def permute_symbols(poly: PolyalphabeticCode, order) -> PolyalphabeticCode:
     return PolyalphabeticCode(poly.field, sizes, rows, distance_lower_bound=poly.distance_lower_bound)
 
 
+def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
+    """Polyalphabetic outer code over ``field`` with symbol widths ``widths``.
+
+    Without ``family`` it is the whole space (the identity generator).
+    Otherwise it comes from the [m, k] ``family`` mother code over the
+    extension field of degree (sorted widths)[k-1], through
+    :func:`poly_from_mother`, with its symbols put back in the order of
+    ``widths``.
+    """
+    if family is None:
+        total = sum(widths)
+        rows = [tuple(int(i == j) for j in range(total)) for i in range(total)]
+        return PolyalphabeticCode(field, widths, rows)
+    m = len(widths)
+    if not 1 <= k <= m:
+        raise ParameterError(f"mother dimension must be in [1, {m}], got {k}")
+    order = sorted(range(m), key=lambda l: (widths[l], l))
+    sorted_sizes = [widths[l] for l in order]
+    ext = make_extension_field(field.q, sorted_sizes[k - 1])
+    poly = poly_from_mother(named_code(family, ext, m, k), sorted_sizes)
+    inverse = [0] * m
+    for new, old in enumerate(order):
+        inverse[old] = new
+    return permute_symbols(poly, inverse)
+
+
 class GccCode:
     """A generalized concatenated code: per-block nested inner chains plus
     per-level polyalphabetic outer codes.
@@ -269,23 +295,12 @@ def _named_menu(field, n, families):
     out = {}
     for fam in families:
         fam = fam.strip().lower()
-        if fam == "repetition":
-            out[fam] = named_code(fam, field, n, 1)
-        elif fam == "parity":
-            if n >= 2:
-                out[fam] = named_code(fam, field, n, n - 1)
-        elif fam == "full":
-            out[fam] = named_code(fam, field, n, n)
-        elif fam == "hamming":
-            try:
-                r = 2
-                while (field.order**r - 1) // (field.order - 1) < n:
-                    r += 1
-                out[fam] = named_code(fam, field, n, n - r)
-            except ParameterError:
-                pass
-        else:
+        if fam not in ("repetition", "parity", "full", "hamming"):
             raise ParameterError(f"unknown inner menu family {fam!r}")
+        try:
+            out[fam] = named_code(fam, field, n)
+        except ParameterError:
+            pass  # the family has no code of length n
     return out
 
 
@@ -317,32 +332,19 @@ def _outer_options(field, widths, menu):
     """Outer-code candidates for one level with the given symbol widths."""
     out = []
     m = len(widths)
+    sorted_sizes = sorted(widths)
     for entry in menu:
         entry = entry.strip().lower()
         if entry == "full":
-            rows = []
-            total = sum(widths)
-            for i in range(total):
-                row = [0] * total
-                row[i] = 1
-                rows.append(tuple(row))
-            out.append(("full", PolyalphabeticCode(field, widths, rows), 1))
+            out.append(("full", outer_code(field, widths), 1))
         elif entry == "rs":
-            order = sorted(range(m), key=lambda l: (widths[l], l))
-            sorted_sizes = [widths[l] for l in order]
-            if any(s < 1 for s in sorted_sizes):
+            if sorted_sizes[0] < 1:
                 continue
             for kk in range(1, m):  # kk = m is the full space, already offered
-                ext = make_extension_field(field.q, sorted_sizes[kk - 1])
-                if m > ext.order:
-                    continue
-                mother = named_code("reed_solomon", ext, m, kk)
-                poly = poly_from_mother(mother, sorted_sizes)
-                inverse = [0] * m
-                for new, old in enumerate(order):
-                    inverse[old] = new
-                poly = permute_symbols(poly, inverse)
-                out.append((f"rs:{kk}", poly, mother.min_distance()))
+                if m > field.q ** sorted_sizes[kk - 1]:
+                    continue  # no Reed-Solomon mother of length m
+                poly = outer_code(field, widths, "reed_solomon", kk)
+                out.append((f"rs:{kk}", poly, poly.distance_lower_bound))
         else:
             raise ParameterError(f"unknown outer menu entry {entry!r}")
     return out

@@ -38,32 +38,24 @@ def _check_code(code: LinearCode, space: WeightedSpace, limits: OracleLimits):
         )
 
 
+def _nonzero_codewords(code, space, limits):
+    _check_code(code, space, limits)
+    words = code.codewords()
+    next(words)  # the stream starts with the zero codeword
+    return words
+
+
 def exact_min_weighted_distance(code, space, limits=DEFAULT_LIMITS) -> int:
     """Minimum weighted weight over the nonzero codewords."""
-    _check_code(code, space, limits)
-    best = None
-    first = True
-    for c in code.codewords():
-        if first:
-            first = False
-            continue
-        w = space.vector_weight(c)
-        if best is None or w < best:
-            best = w
-    return best
+    return min(space.vector_weight(c) for c in _nonzero_codewords(code, space, limits))
 
 
 def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
     """Exact error-correction capability: the smallest per-codeword
     capability over the nonzero codewords."""
-    _check_code(code, space, limits)
     cache = {}
     best = None
-    first = True
-    for c in code.codewords():
-        if first:
-            first = False
-            continue
+    for c in _nonzero_codewords(code, space, limits):
         profile = space.block_profile(c)
         t = cache.get(profile)
         if t is None:
@@ -89,21 +81,7 @@ def exhaustive_unique_correction_check(code, space, t, limits=DEFAULT_LIMITS) ->
     uniquely, i.e. no nonzero codeword lies in the radius-t difference set."""
     if t < 0:
         raise ParameterError("radius must be non-negative")
-    _check_code(code, space, limits)
-    cache = {}
-    first = True
-    for c in code.codewords():
-        if first:
-            first = False
-            continue
-        profile = space.block_profile(c)
-        cap = cache.get(profile)
-        if cap is None:
-            cap = space.profile_capability(profile)
-            cache[profile] = cap
-        if cap <= t - 1:
-            return False
-    return True
+    return exact_capability(code, space, limits) >= t
 
 
 def ambient_ball_count(space, t, limits=DEFAULT_LIMITS) -> int:

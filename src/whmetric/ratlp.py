@@ -1,22 +1,27 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming on integer data.
 
-A two-phase primal simplex on a dense condensed tableau (one row per
-basic and one column per nonbasic variable), pivoted fraction-free: the
-tableau is one integer matrix over one positive common denominator
-(Edmonds' integer pivoting, the simplex form of Bareiss elimination),
-so each update is an exact integer division and no rational is reduced
-inside the pivot loop.  Each input row is
-scaled once, at set-up, to its primitive integer form: denominators
-cleared, then the gcd of its coefficients and right-hand side divided
-out, which keeps the integers small.  Pivots follow Dantzig's rule for
-speed and switch to Bland's rule whenever the objective stalls on
-degenerate pivots, so termination stays guaranteed.
+The solver takes one form only: maximize c.x subject to Ax <= b and
+x >= 0, with integer A, b and c and b >= 0.  The origin is then a basic
+feasible solution (every slack basic), so there is no phase 1 and a
+program is either optimal or unbounded.
+
+A primal simplex on a dense condensed tableau (one row per basic and
+one column per nonbasic variable), pivoted fraction-free: the tableau
+is one integer matrix over one positive common denominator (Edmonds'
+integer pivoting, the simplex form of Bareiss elimination), so each
+update is an exact integer division and no rational is reduced inside
+the pivot loop.  Each input row is divided once, at set-up, by the gcd
+of its coefficients and right-hand side, which keeps the integers
+small.  Pivots follow Dantzig's rule for speed and switch to Bland's
+rule whenever the objective stalls on degenerate pivots, so termination
+stays guaranteed.
 
 A returned optimum is certified, not trusted.  The primal witness is
 re-substituted into every constraint, which proves the optimum is at
 least the returned value.  The dual multipliers, read from the final
 objective row, are checked to satisfy the dual constraints with the
-same objective value, which proves it is at most that value.
+same objective value, which proves it is at most that value.  Both
+checks run in integers over one common denominator.
 
 Instances here are small (a few hundred variables), which is why the
 dense tableau is acceptable.
@@ -30,45 +35,47 @@ from math import gcd, lcm
 
 from .errors import DefectError, ParameterError
 
-GE = ">="
-LE = "<="
-EQ = "=="
+
+def _integers(values):
+    return all(isinstance(v, int) for v in values)
 
 
 @dataclass
 class LinearProgram:
-    """maximize objective . x subject to rows, with optional nonnegativity."""
+    """maximize objective . x subject to coeffs . x <= rhs for every
+    (coeffs, rhs) in rows, and x >= 0; all data integer, every rhs >= 0."""
 
     objective: list
-    rows: list  # (coefficients, relation in {">=", "==", "<="}, rhs)
-    nonneg: list = None
+    rows: list  # (coefficients, rhs)
 
     def __post_init__(self):
-        self.objective = [Fraction(c) for c in self.objective]
+        self.objective = list(self.objective)
         nvars = len(self.objective)
         if nvars < 1:
             raise ParameterError("a linear program needs at least one variable")
-        norm_rows = []
-        for coeffs, rel, rhs in self.rows:
-            if rel not in (GE, EQ, LE):
-                raise ParameterError(f"unknown relation {rel!r}")
-            coeffs = [Fraction(c) for c in coeffs]
+        if not _integers(self.objective):
+            raise ParameterError("objective coefficients must be integers")
+        rows = []
+        for row in self.rows:
+            if len(row) != 2:
+                raise ParameterError("each constraint row is (coefficients, rhs)")
+            coeffs, rhs = list(row[0]), row[1]
             if len(coeffs) != nvars:
                 raise ParameterError("constraint row length does not match variable count")
-            norm_rows.append((coeffs, rel, Fraction(rhs)))
-        self.rows = norm_rows
-        if self.nonneg is None:
-            self.nonneg = [True] * nvars
-        if len(self.nonneg) != nvars:
-            raise ParameterError("nonneg flag list length does not match variable count")
+            if not _integers(coeffs) or not isinstance(rhs, int):
+                raise ParameterError("constraint coefficients and rhs must be integers")
+            if rhs < 0:
+                raise ParameterError(f"right-hand sides must be non-negative, got {rhs}")
+            rows.append((coeffs, rhs))
+        self.rows = rows
 
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "unbounded" | "infeasible"
+    status: str  # "optimal" | "unbounded"
     value: Fraction = None
     solution: list = None
-    dual: list = None  # one multiplier per input row: >= 0 on "<=", <= 0 on ">="
+    dual: list = None  # one multiplier per input row, each >= 0
 
 
 def _pivot(tableau, den, pr, pc):
@@ -76,9 +83,10 @@ def _pivot(tableau, den, pr, pc):
     column ``pc``, in every row (objective row included).
 
     Entries are the rational tableau times ``den``; returns the new
-    common denominator, kept positive.  The division is exact because
-    every entry is a minor of the scaled input (Bareiss).  Rows are
-    mutated in place so outstanding references stay valid.
+    common denominator, the pivot entry, which the ratio test keeps
+    positive.  The division is exact because every entry is a minor of
+    the scaled input (Bareiss).  Rows are mutated in place so
+    outstanding references stay valid.
     """
     prow = tableau[pr]
     p = prow[pc]
@@ -92,40 +100,37 @@ def _pivot(tableau, den, pr, pc):
         elif p != den:
             row[:] = [p * a // den for a in row]
     prow[pc] = den
-    if p < 0:  # only when phase 1 drives an artificial out of the basis
-        for row in tableau:
-            row[:] = [-a for a in row]
-        p = -p
     return p
 
 
 _STALL_LIMIT = 32
 
 
-def _simplex(tableau, basic, nonbasic, cost, den, nenter):
+def _simplex(tableau, basic, nonbasic, cost):
     """Maximize integer ``cost`` over the current basic feasible tableau.
 
     ``tableau`` has one row per basic variable (``basic[i]``) and one
     column per nonbasic variable (``nonbasic[j]``), then the rhs, all
-    over the denominator ``den``; the last row is the objective row and
-    is maintained in place.  Only variables below ``nenter`` may enter
-    the basis.  Pivots use Dantzig's rule (most negative reduced cost)
-    for speed, falling back to Bland's rule while the objective is
-    stalled on degenerate pivots, which keeps the termination
-    guarantee; ties go to the lowest variable.  Ratios are compared by
-    cross-multiplying.  Returns ("optimal" or "unbounded", den).
+    over a common denominator that starts at 1; the last row is the
+    objective row and is maintained in place.  Pivots use Dantzig's rule
+    (most negative reduced cost) for speed, falling back to Bland's rule
+    while the objective is stalled on degenerate pivots, which keeps the
+    termination guarantee; ties go to the lowest variable.  Ratios are
+    compared by cross-multiplying.  Returns ("optimal" or "unbounded",
+    den).
     """
+    den = 1
     body = tableau[:-1]
     obj = tableau[-1]
     # objective row: obj[j] = sum(cost[basic] * row[j]) - cost[nonbasic[j]] * den
-    obj[:] = [-cost[v] * den for v in nonbasic] + [0]
+    obj[:] = [-cost[v] for v in nonbasic] + [0]
     for i, bv in enumerate(basic):
         cb = cost[bv]
         if cb:
             obj[:] = [o + cb * a for o, a in zip(obj, body[i])]
     stalled = 0
     while True:
-        candidates = [(v, j) for j, v in enumerate(nonbasic) if v < nenter and obj[j] < 0]
+        candidates = [(v, j) for j, v in enumerate(nonbasic) if obj[j] < 0]
         if not candidates:
             return "optimal", den
         if stalled >= _STALL_LIMIT:
@@ -152,156 +157,71 @@ def _simplex(tableau, basic, nonbasic, cost, den, nenter):
             stalled = 0
 
 
-def _integer_row(coeffs, rhs):
-    """(m, integer coeffs, integer rhs) with m * (coeffs, rhs) primitive and m > 0."""
-    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-    irhs = rhs.numerator * (scale // rhs.denominator)
-    common = gcd(irhs, *ints) or 1
-    return Fraction(scale, common), [c // common for c in ints], irhs // common
-
-
 def solve_max(lp: LinearProgram) -> LpResult:
-    """Exact optimum of ``lp``; status is optimal, unbounded, or infeasible."""
-    nvars = len(lp.objective)
-    # split free variables x = x+ - x-
-    col_of = []
-    ncols = 0
-    for flag in lp.nonneg:
-        if flag:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-    nstruct = ncols
-
-    def expand(coeffs):
-        out = [0] * nstruct
-        for j, c in enumerate(coeffs):
-            if c:
-                pos, neg = col_of[j]
-                out[pos] = c
-                if neg is not None:
-                    out[neg] = -c
-        return out
-
-    # Scale each row to primitive integers with rhs >= 0; the prepared
-    # row is m times the input row, so m times its dual multiplier is
-    # the input row's multiplier.
-    prepared = []  # (integer coeffs, relation, rhs, m)
-    for coeffs, rel, rhs in lp.rows:
-        m, c, b = _integer_row(coeffs, rhs)
-        if b < 0 or (b == 0 and rel == GE):
-            m, c, b = -m, [-x for x in c], -b
-            rel = {GE: LE, LE: GE, EQ: EQ}[rel]
-        prepared.append((expand(c), rel, b, m))
-
-    # Variables: structural, then slack (LE) or surplus (GE) per row,
-    # then artificial (GE, EQ).  Each row starts with its slack or
-    # artificial basic; structurals and surpluses start as columns.
-    nslack = sum(1 for _, rel, _, _ in prepared if rel in (GE, LE))
-    nart = sum(1 for _, rel, _, _ in prepared if rel in (GE, EQ))
-    nenter = nstruct + nslack  # artificials never enter in phase 2
-    basic = []
-    surplus_of = {}  # row -> its surplus variable
-    si, ai = nstruct, nenter
-    for i, (_, rel, _, _) in enumerate(prepared):
-        if rel == LE:
-            basic.append(si)
-            si += 1
-        else:
-            if rel == GE:
-                surplus_of[i] = si
-                si += 1
-            basic.append(ai)
-            ai += 1
-    nonbasic = list(range(nstruct)) + list(surplus_of.values())
-    tableau = [
-        c + [-1 if surplus_of.get(i) == v else 0 for v in nonbasic[nstruct:]] + [b]
-        for i, (c, _, b, _) in enumerate(prepared)
-    ]
-    tableau.append([0] * (len(nonbasic) + 1))  # objective row
-    den = 1
-    unit_var = list(basic)  # per row: its slack or artificial variable
-
-    if nart:
-        phase1_cost = [0] * nenter + [-1] * nart
-        status, den = _simplex(tableau, basic, nonbasic, phase1_cost, den, nenter + nart)
-        if status != "optimal":
-            raise DefectError("phase-1 objective cannot be unbounded")
-        if tableau[-1][-1] != 0:  # objective row holds accumulated value
-            return LpResult(status="infeasible")
-        # drive remaining artificials out of the basis; one that cannot
-        # leave sits at zero in a redundant row that no pivot touches
-        for i in range(len(basic)):
-            if basic[i] >= nenter:
-                row = tableau[i]
-                pc = next(
-                    (j for j, v in enumerate(nonbasic) if v < nenter and row[j]), None
-                )
-                if pc is not None:
-                    den = _pivot(tableau, den, i, pc)
-                    basic[i], nonbasic[pc] = nonbasic[pc], basic[i]
-
-    cost_scale = lcm(*(c.denominator for c in lp.objective))
-    phase2_cost = [0] * (nenter + nart)
-    for j, c in enumerate(lp.objective):
-        ic = c.numerator * (cost_scale // c.denominator)
-        pos, neg = col_of[j]
-        phase2_cost[pos] += ic
-        if neg is not None:
-            phase2_cost[neg] -= ic
-    status, den = _simplex(tableau, basic, nonbasic, phase2_cost, den, nenter)
+    """Exact optimum of ``lp``; status is optimal or unbounded."""
+    nvars, nrows = len(lp.objective), len(lp.rows)
+    # Each tableau row is its input row divided by g > 0, so the input
+    # row's multiplier is the tableau row's divided by g.
+    gcds, tableau = [], []
+    for coeffs, rhs in lp.rows:
+        g = gcd(rhs, *coeffs) or 1
+        gcds.append(g)
+        tableau.append([c // g for c in coeffs] + [rhs // g])
+    tableau.append([0] * (nvars + 1))  # objective row
+    # Variables: structurals first, then one slack per row.  The slacks
+    # start basic (the origin); the structurals start as columns.
+    basic = list(range(nvars, nvars + nrows))
+    nonbasic = list(range(nvars))
+    status, den = _simplex(tableau, basic, nonbasic, lp.objective + [0] * nrows)
     if status == "unbounded":
         return LpResult(status="unbounded")
 
-    values = [0] * (nenter + nart)
+    # Put the witness and the multipliers over one denominator den * L.
+    scale = lcm(*gcds)
+    x = [0] * nvars
     for i, bv in enumerate(basic):
-        values[bv] = tableau[i][-1]
-    solution = []
-    for j in range(nvars):
-        pos, neg = col_of[j]
-        x = values[pos] - (values[neg] if neg is not None else 0)
-        solution.append(Fraction(x, den))
-    value = sum(c * x for c, x in zip(lp.objective, solution))
-    # a row's multiplier is the reduced cost of its unit variable (0 while basic)
-    obj = tableau[-1]
-    column = {v: j for j, v in enumerate(nonbasic)}
-    dual = [
-        m * Fraction(obj[column[v]], den * cost_scale) if v in column else Fraction(0)
-        for (_, _, _, m), v in zip(prepared, unit_var)
-    ]
+        if bv < nvars:
+            x[bv] = tableau[i][-1] * scale
+    # a row's multiplier is the reduced cost of its slack (0 while basic)
+    y = [0] * nrows
+    for j, v in enumerate(nonbasic):
+        if v >= nvars:
+            y[v - nvars] = tableau[-1][j] * (scale // gcds[v - nvars])
+    den *= scale
 
-    _verify(lp, solution, value, dual)
-    return LpResult(status="optimal", value=value, solution=solution, dual=dual)
+    _verify(lp, x, y, den)
+    return LpResult(
+        status="optimal",
+        value=Fraction(sum(c * xj for c, xj in zip(lp.objective, x)), den),
+        solution=[Fraction(xj, den) for xj in x],
+        dual=[Fraction(yi, den) for yi in y],
+    )
 
 
-def _verify(lp, solution, value, dual):
-    """Certify ``value`` as the optimum of ``lp``.
+def _verify(lp, x, y, den):
+    """Certify ``x / den`` as an optimum of ``lp`` by the dual ``y / den``.
 
-    ``solution`` must be feasible with objective ``value``, and ``dual``
-    must be feasible for the dual program with the same objective:
-    weak duality then bounds every feasible point by ``value``.
+    ``x`` and ``y`` are integer numerators over the positive ``den``.
+    The witness must be feasible, and the multipliers feasible for the
+    dual program with the same objective: weak duality then bounds
+    every feasible point by the witness's value.
     """
-    for j, flag in enumerate(lp.nonneg):
-        if flag and solution[j] < 0:
-            raise DefectError("witness violates nonnegativity")
-    for coeffs, rel, rhs in lp.rows:
-        lhs = sum(c * x for c, x in zip(coeffs, solution) if c)
-        ok = lhs >= rhs if rel == GE else (lhs <= rhs if rel == LE else lhs == rhs)
-        if not ok:
+    if den <= 0:
+        raise DefectError("certificate denominator must be positive")
+    if any(xj < 0 for xj in x):
+        raise DefectError("witness violates nonnegativity")
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    for coeffs, rhs in lp.rows:
+        if sum(coeffs[j] * xj for j, xj in support) > rhs * den:
             raise DefectError("witness violates a constraint after solving")
-    if value != sum(c * x for c, x in zip(lp.objective, solution)):
-        raise DefectError("witness objective value mismatch")  # pragma: no cover
-    if len(dual) != len(lp.rows):
+    if len(y) != len(lp.rows):
         raise DefectError("dual certificate needs one multiplier per row")
-    for (_, rel, _), y in zip(lp.rows, dual):
-        if (rel == LE and y < 0) or (rel == GE and y > 0):
-            raise DefectError("dual multiplier has the wrong sign for its row")
-    for j, (c, flag) in enumerate(zip(lp.objective, lp.nonneg)):
-        reduced = sum(y * row[0][j] for y, row in zip(dual, lp.rows) if y)
-        if reduced < c if flag else reduced != c:
+    if any(yi < 0 for yi in y):
+        raise DefectError("dual multiplier has the wrong sign for its row")
+    used = [(coeffs, yi) for (coeffs, _), yi in zip(lp.rows, y) if yi]
+    for j, c in enumerate(lp.objective):
+        if sum(yi * coeffs[j] for coeffs, yi in used) < c * den:
             raise DefectError("dual multipliers violate a dual constraint")
-    if sum(y * rhs for y, (_, _, rhs) in zip(dual, lp.rows)) != value:
+    primal = sum(c * xj for c, xj in zip(lp.objective, x))
+    if sum(yi * rhs for (_, rhs), yi in zip(lp.rows, y)) != primal:
         raise DefectError("dual objective differs from the primal optimum")

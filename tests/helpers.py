@@ -9,7 +9,7 @@ their code path.
 from itertools import product
 
 from whmetric.code import LinearCode, NestedChain, PolyalphabeticCode, named_code
-from whmetric.construct import build_gcc, poly_from_mother
+from whmetric.construct import build_gcc, outer_code, poly_from_mother
 from whmetric.field import make_extension_field, make_prime_field
 from whmetric.metric import WeightedSpace
 
@@ -65,16 +65,6 @@ def diff_profiles_by_pairs(space, t):
 # -- reference constructions -------------------------------------------------
 
 
-def full_outer(field, widths):
-    total = sum(widths)
-    rows = []
-    for i in range(total):
-        row = [0] * total
-        row[i] = 1
-        rows.append(tuple(row))
-    return PolyalphabeticCode(field, widths, rows)
-
-
 def mixed_code_from_parity_mother(q):
     """Symbol sizes (1, 2, 3) from a [3, 2, 2] parity mother over F_(q^2)."""
     ext = make_extension_field(q, 2)
@@ -103,7 +93,7 @@ def two_block_code():
         NestedChain([named_code("repetition", F2, 3, 1)]),
         NestedChain([named_code("full", F2, 3, 3)]),
     ]
-    outer = full_outer(F2, (1, 3))
+    outer = outer_code(F2, (1, 3))
     return space, build_gcc(space, chains, [outer])
 
 
@@ -124,7 +114,7 @@ def two_level_code():
         ]
     )
     outer1 = PolyalphabeticCode(F2, (1, 2), [(1, 1, 1)])
-    outer2 = full_outer(F2, (1, 1))
+    outer2 = outer_code(F2, (1, 1))
     return space, build_gcc(space, [chain1, chain2], [outer1, outer2])
 
 
@@ -137,5 +127,5 @@ def hamming_concatenation():
         NestedChain([named_code("full", F2, 7, 7)]),
         NestedChain([named_code("full", F2, 7, 7)]),
     ]
-    outer = full_outer(F2, (4, 7, 7))
+    outer = outer_code(F2, (4, 7, 7))
     return space, build_gcc(space, chains, [outer])

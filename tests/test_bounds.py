@@ -156,22 +156,23 @@ def test_true_enumerators_satisfy_lp_constraints():
 
 
 def _unreduced_delsarte_lp(space, t):
-    """The Delsarte LP with every enumerator entry a variable: A_0 == 1,
-    A_p == 0 on the nonzero difference-ball profiles, Krawtchouk rows >= 0."""
+    """The Delsarte LP with every enumerator entry a variable, in <= form:
+    -K(j, .) A <= 0 for every profile j, A_0 <= 1, and A_p <= 0 on the
+    nonzero difference-ball profiles.  Apart from A_0 <= 1 it is
+    homogeneous, so the optimum sits at A_0 = 1."""
     profiles = list(product(*(range(b + 1) for b in space.blocks)))
     zero = profiles[0]
     rows = []
-    for p in [zero] + [p for p in space.diff_ball_profiles(t) if p != zero]:
-        unit = [int(p == other) for other in profiles]
-        rows.append((unit, "==", int(p == zero)))
     for jprof in profiles:
         row = []
         for iprof in profiles:
             coeff = 1
             for l in range(space.m):
                 coeff *= krawtchouk(space.q, space.blocks[l], jprof[l], iprof[l])
-            row.append(coeff)
-        rows.append((row, ">=", 0))
+            row.append(-coeff)
+        rows.append((row, 0))
+    for p in [zero] + [p for p in space.diff_ball_profiles(t) if p != zero]:
+        rows.append(([int(p == other) for other in profiles], int(p == zero)))
     return LinearProgram(objective=[1] * len(profiles), rows=rows)
 
 
@@ -182,6 +183,7 @@ def test_presolved_lp_matches_unreduced_two_phase_lp(q, blocks, scales):
     for t in range(space.max_weight + 1):
         reference = solve_max(_unreduced_delsarte_lp(space, t))
         assert reference.status == "optimal"
+        assert reference.solution[0] == 1, t
         assert lp_bound_detail(space, t)[1] == reference.value, t
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from whmetric import cli
 from whmetric.cli import main
 
@@ -234,6 +236,19 @@ def test_enumerate_profiles(tmp_path, capsys):
     assert payload["cardinality"] == 1 + 3 + 3
 
 
+def test_unused_flags_are_usage_errors(tmp_path, capsys):
+    cfg = write(tmp_path, "two.cfg", TWO_BLOCK)
+    received = write(tmp_path, "word.txt", "1 1 1 0 0 1\n")
+    for argv in (
+        ["bounds", "--config", cfg, "--t-max", "1", "--seed", "3"],
+        ["decode", "--config", cfg, "--t-min", "0", received],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_output_file_flag(tmp_path, capsys):
     cfg = write(tmp_path, "space.cfg", SPACE_33)
     dest = tmp_path / "table.csv"
@@ -327,6 +342,12 @@ outer.1 = {outer}
         )
         assert main(["construct", "--config", cfg]) == 2
         assert "expected an integer" in capsys.readouterr().err
+
+
+def test_mother_dimension_beyond_the_block_count_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "three.cfg", THREE_BLOCK.replace("mother:parity:3:2", "mother:parity:3:5"))
+    assert main(["construct", "--config", cfg]) == 2
+    assert "mother dimension must be in [1, 3]" in capsys.readouterr().err
 
 
 def test_unexpected_errors_exit_4(tmp_path, capsys, monkeypatch):

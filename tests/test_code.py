@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from helpers import F2, F3, F7, full_outer
+from helpers import F2, F3, F7
 from whmetric.code import (
     FAIL,
     LinearCode,
@@ -14,6 +14,7 @@ from whmetric.code import (
     named_code,
     parse_matrix_text,
 )
+from whmetric.construct import outer_code
 from whmetric.errors import ExhaustionError, ParameterError
 from whmetric.field import make_extension_field
 
@@ -60,6 +61,13 @@ def test_named_families():
         named_code("custom", F2, 3, 1)
     with pytest.raises(ParameterError):
         named_code("turbo", F2, 3, 1)
+    # every family but Reed-Solomon fixes its dimension by the length
+    dims = {fam: named_code(fam, F3, 13).k for fam in ("repetition", "parity", "full", "hamming")}
+    assert dims == {"repetition": 1, "parity": 12, "full": 13, "hamming": 10}
+    with pytest.raises(ParameterError):
+        named_code("reed_solomon", F7, 6)
+    with pytest.raises(ParameterError):
+        named_code("hamming", F2, 6)
 
 
 def test_min_distance_examples():
@@ -233,7 +241,7 @@ def test_single_level_chain():
 
 
 def test_polyalphabetic_basics():
-    outer = full_outer(F2, (1, 3))
+    outer = outer_code(F2, (1, 3))
     assert outer.k == 4
     assert outer.min_block_distance() == 1
     zero_width = PolyalphabeticCode(F2, (0, 2), [(1, 0), (0, 1)])

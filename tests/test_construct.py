@@ -4,7 +4,6 @@ import pytest
 
 from helpers import (
     F2,
-    full_outer,
     hamming_concatenation,
     mixed_code_from_parity_mother,
     three_block_code,
@@ -14,6 +13,7 @@ from helpers import (
 from whmetric.code import NestedChain, PolyalphabeticCode, named_code
 from whmetric.construct import (
     build_gcc,
+    outer_code,
     pareto_frontier,
     permute_symbols,
     poly_from_mother,
@@ -102,7 +102,7 @@ def test_capability_floor_trivial_when_everything_is_rate_one():
         NestedChain([named_code("full", F2, 3, 3)]),
         NestedChain([named_code("full", F2, 3, 3)]),
     ]
-    gcc = build_gcc(space, chains, [full_outer(F2, (3, 3))])
+    gcc = build_gcc(space, chains, [outer_code(F2, (3, 3))])
     assert gcc.capability_floor == 0
 
 
@@ -137,7 +137,7 @@ def test_zero_width_levels_are_legal():
     full = named_code("full", F2, 3, 3)
     chains = [NestedChain([rep, rep]), NestedChain([full, rep])]
     outer1 = PolyalphabeticCode(F2, (0, 2), [(1, 0), (0, 1)])
-    outer2 = full_outer(F2, (1, 1))
+    outer2 = outer_code(F2, (1, 1))
     gcc = build_gcc(space, chains, [outer1, outer2])
     assert gcc.k == 4
     assert gcc.as_linear_code().k == 4
@@ -148,7 +148,7 @@ def test_build_gcc_validates_shapes():
     chains = list(gcc.chains)
     with pytest.raises(ParameterError):
         build_gcc(space, chains[:1], list(gcc.outers))
-    bad_outer = full_outer(F2, (2, 3))
+    bad_outer = outer_code(F2, (2, 3))
     with pytest.raises(ParameterError):
         build_gcc(space, chains, [bad_outer])
 
@@ -162,7 +162,7 @@ def test_declared_distances_can_replace_exact_ones():
     gcc = build_gcc(
         space,
         chains,
-        [full_outer(F2, (1, 3))],
+        [outer_code(F2, (1, 3))],
         inner_distances=[[3, 1]],
         outer_distances=[1],
     )

@@ -4,7 +4,6 @@ import pytest
 
 from helpers import (
     F2,
-    full_outer,
     hamming_concatenation,
     mixed_code_from_parity_mother,
     three_block_code,
@@ -12,7 +11,7 @@ from helpers import (
     two_level_code,
 )
 from whmetric.code import FAIL, NestedChain, PolyalphabeticCode, named_code
-from whmetric.construct import build_gcc
+from whmetric.construct import build_gcc, outer_code
 from whmetric.decode import gcc_decode, gmd_decode
 from whmetric.errors import ParameterError
 from whmetric.field import make_prime_field
@@ -182,7 +181,7 @@ def test_ternary_code_corrects_all_errors_within_floor():
         NestedChain([named_code("repetition", F3, 3, 1)]),
         NestedChain([named_code("full", F3, 3, 3)]),
     ]
-    gcc = build_gcc(space, chains, [full_outer(F3, (1, 3))])
+    gcc = build_gcc(space, chains, [outer_code(F3, (1, 3))])
     assert gcc.capability_floor == 1
     report = exhaustive_decoder_check(gcc, 1)
     assert report.trials == 81 * 7

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -10,47 +11,39 @@ from whmetric.ratlp import LinearProgram, solve_max
 
 
 def test_single_variable_box():
-    res = solve_max(LinearProgram(objective=[1], rows=[([1], "<=", 3)]))
+    res = solve_max(LinearProgram(objective=[1], rows=[([1], 3)]))
     assert res.status == "optimal"
     assert res.value == 3
     assert res.solution == [3]
 
 
 def test_two_variable_vertex():
-    res = solve_max(
-        LinearProgram(objective=[1, 1], rows=[([1, 2], "<=", 4), ([3, 1], "<=", 6)])
-    )
+    res = solve_max(LinearProgram(objective=[1, 1], rows=[([1, 2], 4), ([3, 1], 6)]))
     assert res.status == "optimal"
     assert res.value == Fraction(14, 5)
     assert res.solution == [Fraction(8, 5), Fraction(6, 5)]
 
 
-def test_infeasible():
-    res = solve_max(LinearProgram(objective=[1], rows=[([1], ">=", 1), ([-1], ">=", 0)]))
-    assert res.status == "infeasible"
+def test_rejects_negative_rhs_and_non_integer_data():
+    # the origin must be feasible, and the data integer
+    with pytest.raises(ParameterError, match="non-negative"):
+        LinearProgram(objective=[1], rows=[([1], -1)])
+    with pytest.raises(ParameterError, match="integers"):
+        LinearProgram(objective=[1], rows=[([Fraction(1, 2)], 1)])
+    with pytest.raises(ParameterError, match="integers"):
+        LinearProgram(objective=[1], rows=[([1], 1.0)])
+    with pytest.raises(ParameterError, match="integers"):
+        LinearProgram(objective=[0.5], rows=[([1], 1)])
 
 
 def test_unbounded():
     assert solve_max(LinearProgram(objective=[1], rows=[])).status == "unbounded"
 
 
-def test_equality_and_free_variables():
-    # free y: maximize -|y|-ish through y == 2 exactly
-    lp = LinearProgram(
-        objective=[1, -1],
-        rows=[([1, 0], "<=", 5), ([0, 1], "==", 2)],
-        nonneg=[True, False],
-    )
-    res = solve_max(lp)
-    assert res.status == "optimal"
-    assert res.value == 3
-    assert res.solution == [5, 2]
-
-
 def test_degenerate_equalities_pin_variables():
     lp = LinearProgram(
         objective=[1, 1, 1],
-        rows=[([0, 1, 0], "==", 0), ([0, 0, 1], "==", 0), ([1, 0, 0], "<=", 7)],
+        rows=[([0, 1, 0], 0), ([0, 0, 1], 0), ([1, 0, 0], 7)],
     )
     res = solve_max(lp)
     assert res.value == 7
@@ -58,20 +51,21 @@ def test_degenerate_equalities_pin_variables():
 
 
 def test_row_scaling_invariance():
-    rows = [([2, 3], "<=", 12), ([1, -1], ">=", -3)]
-    scaled = [([1, Fraction(3, 2)], "<=", 6), ([5, -5], ">=", -15)]
+    rows = [([2, 3], 12), ([-1, 1], 3)]
+    scaled = [([4, 6], 24), ([-5, 5], 15)]
     a = solve_max(LinearProgram(objective=[4, 1], rows=rows))
     b = solve_max(LinearProgram(objective=[4, 1], rows=scaled))
-    assert a.value == b.value
+    assert a.value == b.value == 24
+    assert b.dual == [y / m for y, m in zip(a.dual, (2, 5))]
 
 
 def test_rejects_malformed():
     with pytest.raises(ParameterError):
         LinearProgram(objective=[], rows=[])
     with pytest.raises(ParameterError):
-        LinearProgram(objective=[1], rows=[([1, 2], "<=", 1)])
+        LinearProgram(objective=[1], rows=[([1, 2], 1)])
     with pytest.raises(ParameterError):
-        LinearProgram(objective=[1], rows=[([1], "<", 1)])
+        LinearProgram(objective=[1], rows=[([1], "<=", 1)])
 
 
 # -- randomized comparison against vertex enumeration ------------------------
@@ -138,42 +132,30 @@ def test_random_small_programs_match_vertex_enumeration():
         le_rows = []
         for _ in range(nrows):
             le_rows.append(
-                ([rng.randint(-9, 9) for _ in range(nvars)], rng.randint(-9, 9))
+                ([rng.randint(-9, 9) for _ in range(nvars)], rng.randint(0, 9))
             )
         for i in range(nvars):  # box rows keep the region bounded
             unit = [0] * nvars
             unit[i] = 1
             le_rows.append((unit, 9))
-        lp = LinearProgram(
-            objective=objective,
-            rows=[(row, "<=", rhs) for row, rhs in le_rows],
-        )
-        res = solve_max(lp)
-        expected = _vertex_optimum(objective, le_rows)
-        if expected is None:
-            assert res.status == "infeasible", f"case {case}"
-        else:
-            assert res.status == "optimal", f"case {case}"
-            assert res.value == expected, f"case {case}"
+        res = solve_max(LinearProgram(objective=objective, rows=le_rows))
+        assert res.status == "optimal", f"case {case}"
+        assert res.value == _vertex_optimum(objective, le_rows), f"case {case}"
 
 
 # -- dual certificate ----------------------------------------------------------
 
 
 def test_dual_multipliers_certify_the_optimum():
-    lp = LinearProgram(objective=[1, 1], rows=[([1, 2], "<=", 4), ([3, 1], "<=", 6)])
+    lp = LinearProgram(objective=[1, 1], rows=[([1, 2], 4), ([3, 1], 6)])
     res = solve_max(lp)
     assert res.dual == [Fraction(2, 5), Fraction(1, 5)]
-    mixed = LinearProgram(
-        objective=[1, -1],
-        rows=[([1, 0], "<=", 5), ([0, 1], "==", 2), ([-1, 0], ">=", -5)],
-        nonneg=[True, False],
-    )
-    res = solve_max(mixed)
-    assert res.value == 3
-    assert len(res.dual) == 3
-    assert res.dual[0] >= 0 and res.dual[2] <= 0
-    assert sum(y * rhs for y, (_, _, rhs) in zip(res.dual, mixed.rows)) == 3
+
+
+def _certificate(solution, dual):
+    """Numerators of ``solution`` and ``dual`` over one common denominator."""
+    den = lcm(*(v.denominator for v in solution + dual))
+    return [int(v * den) for v in solution], [int(v * den) for v in dual], den
 
 
 @pytest.mark.parametrize(
@@ -186,29 +168,8 @@ def test_dual_multipliers_certify_the_optimum():
     ),
 )
 def test_tampered_dual_is_rejected(dual, reason):
-    lp = LinearProgram(objective=[1, 1], rows=[([1, 2], "<=", 4), ([3, 1], "<=", 6)])
+    lp = LinearProgram(objective=[1, 1], rows=[([1, 2], 4), ([3, 1], 6)])
     res = solve_max(lp)
-    ratlp._verify(lp, res.solution, res.value, res.dual)
+    ratlp._verify(lp, *_certificate(res.solution, res.dual))
     with pytest.raises(DefectError, match=reason):
-        ratlp._verify(lp, res.solution, res.value, dual)
-
-
-def test_redundant_equality_keeps_a_certified_dual():
-    # the second equality repeats the first, so one artificial stays basic
-    lp = LinearProgram(
-        objective=[1, 2],
-        rows=[([1, 1], "==", 2), ([2, 2], "==", 4), ([1, 0], "<=", 1)],
-    )
-    res = solve_max(lp)
-    assert res.value == 4
-    assert res.solution == [0, 2]
-    assert len(res.dual) == 3
-
-
-def test_free_variable_needs_dual_equality():
-    lp = LinearProgram(objective=[1], rows=[([1], "<=", -1), ([1], ">=", -5)], nonneg=[False])
-    res = solve_max(lp)
-    assert res.value == -1 and res.dual == [1, 0]
-    # same objective and signs; A^T y >= c holds on the free column, equality does not
-    with pytest.raises(DefectError, match="dual constraint"):
-        ratlp._verify(lp, res.solution, res.value, [Fraction(6), Fraction(-1)])
+        ratlp._verify(lp, *_certificate(res.solution, dual))
