@@ -21,6 +21,7 @@ from .bounds import (
 )
 from .code import (
     FAIL,
+    Limits,
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
@@ -33,7 +34,6 @@ from .errors import DefectError, ExhaustionError, ParameterError
 from .field import Field, make_extension_field, make_prime_field
 from .metric import WeightedSpace, profile_leq
 from .oracle import (
-    OracleLimits,
     exact_capability,
     exact_min_weighted_distance,
     exhaustive_decoder_check,
@@ -49,11 +49,11 @@ __all__ = [
     "FAIL",
     "Field",
     "GccCode",
+    "Limits",
     "LinearCode",
     "LinearProgram",
     "LpResult",
     "NestedChain",
-    "OracleLimits",
     "ParameterError",
     "PolyalphabeticCode",
     "WeightedSpace",

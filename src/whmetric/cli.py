@@ -26,6 +26,7 @@ from .bounds import (
     singleton_k_for_t,
 )
 from .code import (
+    Limits,
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
@@ -51,7 +52,7 @@ _SEARCH_KEYS = {"inner", "outer", "max_levels"}
 @dataclass
 class RunConfig:
     space: WeightedSpace
-    limits: oracle.OracleLimits
+    limits: Limits
     out_format: str = "csv"
     out_path: str = None
     gcc_section: dict = None
@@ -99,7 +100,7 @@ def parse_config(path) -> RunConfig:
     make_prime_field(q)  # primality check up front
     space = WeightedSpace(q, blocks, scales)
 
-    limits = oracle.OracleLimits()
+    limits = Limits()
     if "limits" in cp:
         sec = dict(cp["limits"])
         bad = set(sec) - _LIMIT_KEYS
@@ -112,7 +113,7 @@ def parse_config(path) -> RunConfig:
                     kwargs[key] = int(sec[key])
                 except ValueError:
                     raise ParameterError(f"{key} must be an integer") from None
-        limits = oracle.OracleLimits(**kwargs)
+        limits = Limits(**kwargs)
 
     out_format, out_path = "csv", None
     if "output" in cp:
@@ -175,19 +176,18 @@ def _parse_rows(field, text):
 
 
 def parse_code_spec(field, spec, expected_n, base_dir="."):
-    """One inner-code spec: a named family, inline rows, or a matrix file."""
+    """One inner-code spec: a named family ``<family>[:<n>[:<k>]]``, inline
+    rows, or a matrix file."""
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     head = head.strip().lower()
     if head in ("repetition", "parity", "full", "hamming", "rs", "reed_solomon"):
         parts = [p for p in rest.split(":") if p] if rest else []
+        if len(parts) > 2:
+            raise ParameterError(f"family spec needs <family>[:<n>[:<k>]], got {spec!r}")
         n = _spec_int(parts[0], spec) if parts else expected_n
-        if head in ("rs", "reed_solomon"):
-            if len(parts) != 2:
-                raise ParameterError(f"Reed-Solomon spec needs rs:<n>:<k>, got {spec!r}")
-            code = named_code("reed_solomon", field, n, _spec_int(parts[1], spec))
-        else:  # the family fixes the dimension
-            code = named_code(head, field, n)
+        k = _spec_int(parts[1], spec) if len(parts) == 2 else None
+        code = named_code(head, field, n, k)
     elif head == "rows":
         code = LinearCode(field, _parse_rows(field, rest))
     elif head == "file":
@@ -270,7 +270,7 @@ def build_gcc_from_config(cfg: RunConfig):
             raise ParameterError(f"[gcc] is missing {key!r}")
         widths = tuple(chain.widths[j] for chain in chains)
         outers.append(parse_outer_spec(field, sec[key], widths, cfg.base_dir))
-    return build_gcc(space, chains, outers)
+    return build_gcc(space, chains, outers, cfg.limits)
 
 
 # -- output plumbing ---------------------------------------------------------
@@ -399,7 +399,7 @@ def cmd_search(args):
         max_levels = int(sec.get("max_levels", "1"))
     except ValueError:
         raise ParameterError("max_levels must be an integer") from None
-    records = search_constructions(cfg.space, inner, outer, max_levels)
+    records = search_constructions(cfg.space, inner, outer, max_levels, cfg.limits)
     t_front = pareto_frontier(records, "capability_floor")
     d_front = pareto_frontier(records, "designed_distance")
     if _chosen_format(args, cfg) == "json":

@@ -2,32 +2,48 @@
 
 Vectors are tuples of serialized field elements (see :mod:`.field`), so
 they hash and compare structurally.  Distance computations are exact
-exhaustive scans guarded by explicit limits; exceeding a limit raises
-:class:`~whmetric.errors.ExhaustionError` rather than approximating.
+exhaustive scans, each admitted under one :class:`Limits`; a scan past a
+limit raises :class:`~whmetric.errors.ExhaustionError` rather than
+approximating.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import ExhaustionError, ParameterError
 from .field import Field, make_extension_field, make_prime_field
 
-DEFAULT_EXHAUSTION_LIMIT = 1 << 22
 SYNDROME_TABLE_LIMIT = 1 << 20
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Caps on exhaustive enumeration, shared by every scan that refuses."""
+
+    max_codewords: int = 1 << 20
+    max_ambient: int = 1 << 22
+
+
+DEFAULT_LIMITS = Limits()
 
 FAIL = None  # decoders signal failure with None
 
 
 # -- vector and matrix helpers ---------------------------------------------
+# Vectors are built from lists, not generators: tuple() of a generator
+# grows its result by reallocation, past CPython's per-length tuple free
+# lists, while freeing the result fills them, so a long codeword scan
+# would leave up to 2000 spare tuples of its vector length behind.
 
 
 def vec_add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+    return tuple([field.add(a, b) for a, b in zip(u, v)])
 
 
 def vec_sub(field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
+    return tuple([field.sub(a, b) for a, b in zip(u, v)])
 
 
 def vec_scale(field, c, u):
@@ -35,7 +51,7 @@ def vec_scale(field, c, u):
         return (0,) * len(u)
     if c == 1:
         return tuple(u)
-    return tuple(field.mul(c, a) for a in u)
+    return tuple([field.mul(c, a) for a in u])
 
 
 def vec_dot(field, u, v):
@@ -182,6 +198,19 @@ def _stream_combinations(field, rows, length):
         yield prefix[k]
 
 
+def nonzero_codewords(code, limits):
+    """Admit a scan of every codeword of ``code`` under ``limits`` and
+    return the stream of its nonzero codewords."""
+    count = code.field.order**code.k
+    if count > limits.max_codewords:
+        raise ExhaustionError(
+            f"exhaustion refused: {count} codewords exceeds the limit {limits.max_codewords}"
+        )
+    words = code.codewords()
+    next(words)  # the stream starts with the zero codeword
+    return words
+
+
 # -- linear codes -----------------------------------------------------------
 
 
@@ -247,19 +276,14 @@ class LinearCode:
         for msg in product(range(q), repeat=self.k):
             yield msg, self.encode(msg)
 
-    def min_distance(self, limit=DEFAULT_EXHAUSTION_LIMIT):
+    def min_distance(self, limits=DEFAULT_LIMITS):
         """Exact minimum Hamming distance by exhaustive codeword scan."""
         if self._distance is not None:
             return self._distance
-        count = self.field.order**self.k
-        if count > limit:
-            raise ExhaustionError(
-                f"exhaustion refused: {count} codewords exceeds the limit {limit}"
-            )
         best = self.n + 1
-        for c in self.codewords():
+        for c in nonzero_codewords(self, limits):
             w = hamming_weight(c)
-            if 0 < w < best:
+            if w < best:
                 best = w
                 if best == 1:
                     break
@@ -358,11 +382,6 @@ def _erasures_core(code, keep_symbols, n_symbols, s, distance, symbol_of, coords
         if msg is None:
             return FAIL
         return code.encode(msg)
-    count = field.order**code.k
-    if count > DEFAULT_EXHAUSTION_LIMIT:
-        raise ExhaustionError(
-            f"exhaustion refused: {count} codewords exceeds the limit {DEFAULT_EXHAUSTION_LIMIT}"
-        )
     best, best_d, ties = None, n_symbols + 1, 0
     for c in code.codewords():
         dist = sum(1 for i in keep_symbols if symbol_of(c, i) != symbol_of(received, i))
@@ -385,7 +404,7 @@ class PolyalphabeticCode:
     symbols are legal and never count as nonzero.
     """
 
-    def __init__(self, field: Field, sizes, rows, distance_lower_bound=None):
+    def __init__(self, field: Field, sizes, rows):
         sizes = tuple(int(s) for s in sizes)
         if any(s < 0 for s in sizes):
             raise ParameterError("symbol sizes must be non-negative")
@@ -406,7 +425,6 @@ class PolyalphabeticCode:
         self.total_length = total
         self.generator = tuple(keep)
         self.k = len(keep)
-        self.distance_lower_bound = distance_lower_bound
         self._distance = None
         offsets, start = [], 0
         for s in sizes:
@@ -439,21 +457,18 @@ class PolyalphabeticCode:
     def codewords(self):
         return _stream_combinations(self.field, self.generator, self.total_length)
 
-    def min_block_distance(self, limit=DEFAULT_EXHAUSTION_LIMIT):
-        """Exact minimum number of nonzero symbols over nonzero codewords."""
+    def min_block_distance(self, limits=DEFAULT_LIMITS):
+        """Exact minimum number of nonzero symbols over nonzero codewords.
+
+        The whole space contains a unit vector, so its distance is 1
+        without a scan."""
         if self._distance is not None:
             return self._distance
-        count = self.field.order**self.k
-        if count > limit:
-            raise ExhaustionError(
-                f"exhaustion refused: {count} codewords exceeds the limit {limit}"
-            )
+        if self.k == self.total_length:
+            self._distance = 1
+            return 1
         best = self.n_symbols + 1
-        first = True
-        for c in self.codewords():
-            if first:
-                first = False  # zero codeword
-                continue
+        for c in nonzero_codewords(self, limits):
             w = self.block_weight(c)
             if w < best:
                 best = w

@@ -11,16 +11,17 @@ Two builders:
 * :func:`build_gcc` assembles a generalized concatenated code from one
   nested inner-code chain per block and one polyalphabetic outer code
   per level, and computes its designed weighted distance and a floor on
-  its error-correction capability.
+  its error-correction capability from the exact component distances,
+  each scanned once under the given limits and cached on its code.
 
 The capability floor evaluates, for each level j and each support of
 d(A_j) blocks, the capability of the profile that puts the inner-code
 distance in each chosen block; the support choice of concrete vectors is
 immaterial because capability depends only on the profile.
 
-A small search harness enumerates named component menus and reports the
-Pareto frontiers of (capability floor, dimension) and (designed
-distance, dimension).
+A small search harness enumerates named component menus, assembles each
+candidate through :func:`build_gcc`, and reports the Pareto frontiers of
+(capability floor, dimension) and (designed distance, dimension).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .code import (
+    DEFAULT_LIMITS,
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
@@ -45,8 +47,9 @@ def poly_from_mother(mother: LinearCode, sizes) -> PolyalphabeticCode:
     ``sizes`` must be sorted non-decreasing; the mother code must live
     over the extension of degree sizes[k-1] of the base field and be
     systematic on its first k positions.  The result has dimension
-    sum(sizes[:k]) and block distance at least the mother's distance
-    (recorded as ``distance_lower_bound``).
+    sum(sizes[:k]) and block distance at least the mother's distance;
+    neither code is scanned here, the exact block distance comes from
+    the result's own :meth:`~PolyalphabeticCode.min_block_distance`.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != mother.n:
@@ -78,7 +81,7 @@ def poly_from_mother(mother: LinearCode, sizes) -> PolyalphabeticCode:
                     flat.extend(digits)
                     flat.extend([0] * (sizes[pos] - ext.m))
             rows.append(tuple(flat))
-    out = PolyalphabeticCode(base, sizes, rows, distance_lower_bound=mother.min_distance())
+    out = PolyalphabeticCode(base, sizes, rows)
     if out.k != sum(sizes[:k]):
         raise DefectError("derived polyalphabetic code has unexpected dimension")
     return out
@@ -100,7 +103,7 @@ def permute_symbols(poly: PolyalphabeticCode, order) -> PolyalphabeticCode:
         for o in order:
             flat.extend(symbols[o])
         rows.append(tuple(flat))
-    return PolyalphabeticCode(poly.field, sizes, rows, distance_lower_bound=poly.distance_lower_bound)
+    return PolyalphabeticCode(poly.field, sizes, rows)
 
 
 def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
@@ -133,19 +136,23 @@ class GccCode:
     """A generalized concatenated code: per-block nested inner chains plus
     per-level polyalphabetic outer codes.
 
-    ``inner_distances[j][l]`` and ``outer_distances[j]`` are the component
-    distances used for the designed distance and the capability floor;
-    by default they are exact brute-force values.
+    ``inner_distances[j][l]`` and ``outer_distances[j]`` are the exact
+    component distances behind the designed distance and the capability
+    floor, read from the components' own scans under ``limits``.  Build
+    one with :func:`build_gcc`, which validates the components first.
     """
 
-    def __init__(self, space, chains, outers, inner_distances, outer_distances):
+    def __init__(self, space, chains, outers, limits):
         self.space = space
         self.chains = tuple(chains)
         self.outers = tuple(outers)
-        self.inner_distances = tuple(tuple(row) for row in inner_distances)
-        self.outer_distances = tuple(outer_distances)
-        self.field = self.chains[0].field
         self.levels = len(self.outers)
+        self.inner_distances = tuple(
+            tuple(chain.codes[j].min_distance(limits) for chain in self.chains)
+            for j in range(self.levels)
+        )
+        self.outer_distances = tuple(a.min_block_distance(limits) for a in self.outers)
+        self.field = self.chains[0].field
         self.n = space.n
         self.k = sum(a.k for a in self.outers)
         self.designed_distance = self._designed_distance()
@@ -183,9 +190,6 @@ class GccCode:
                 if best is None or t < best:
                     best = t
         return best
-
-    def message_lengths(self):
-        return tuple(a.k for a in self.outers)
 
     def encode(self, messages):
         """Concatenate per-level outer codewords through the quotient encoders."""
@@ -241,12 +245,9 @@ def _unit_messages(k):
         yield tuple(row)
 
 
-def build_gcc(space, chains, outers, inner_distances=None, outer_distances=None) -> GccCode:
-    """Validate and assemble a generalized concatenated code.
-
-    ``inner_distances``/``outer_distances`` optionally supply declared
-    component distances; when omitted, exact brute-force distances are
-    computed."""
+def build_gcc(space, chains, outers, limits=DEFAULT_LIMITS) -> GccCode:
+    """Validate and assemble a generalized concatenated code; its component
+    distances are exact scans admitted under ``limits``."""
     chains = list(chains)
     outers = list(outers)
     if len(chains) != space.m:
@@ -279,13 +280,7 @@ def build_gcc(space, chains, outers, inner_distances=None, outer_distances=None)
                 f"outer code at level {j + 1} has symbol sizes {outer.sizes}, "
                 f"the chains give {expected}"
             )
-    if inner_distances is None:
-        inner_distances = [
-            [chain.codes[j].min_distance() for chain in chains] for j in range(levels)
-        ]
-    if outer_distances is None:
-        outer_distances = [outer.min_block_distance() for outer in outers]
-    return GccCode(space, chains, outers, inner_distances, outer_distances)
+    return GccCode(space, chains, outers, limits)
 
 
 # -- search harness ----------------------------------------------------------
@@ -329,33 +324,33 @@ def _chain_options(field, n, families, levels):
 
 
 def _outer_options(field, widths, menu):
-    """Outer-code candidates for one level with the given symbol widths."""
+    """(name, outer code) candidates for one level with the given symbol widths."""
     out = []
     m = len(widths)
     sorted_sizes = sorted(widths)
     for entry in menu:
         entry = entry.strip().lower()
         if entry == "full":
-            out.append(("full", outer_code(field, widths), 1))
+            out.append(("full", outer_code(field, widths)))
         elif entry == "rs":
             if sorted_sizes[0] < 1:
                 continue
             for kk in range(1, m):  # kk = m is the full space, already offered
                 if m > field.q ** sorted_sizes[kk - 1]:
                     continue  # no Reed-Solomon mother of length m
-                poly = outer_code(field, widths, "reed_solomon", kk)
-                out.append((f"rs:{kk}", poly, poly.distance_lower_bound))
+                out.append((f"rs:{kk}", outer_code(field, widths, "reed_solomon", kk)))
         else:
             raise ParameterError(f"unknown outer menu entry {entry!r}")
     return out
 
 
-def search_constructions(space, inner_families, outer_menu, max_levels):
+def search_constructions(space, inner_families, outer_menu, max_levels, limits=DEFAULT_LIMITS):
     """Enumerate menu assemblies; returns records sorted by (levels, spec).
 
     Each record is a dict with keys k, designed_distance, capability_floor,
-    inner, outer, levels.  Component distances are the declared family
-    values, so the reported parameters are guaranteed, not estimates.
+    inner, outer, levels.  Every candidate is assembled by :func:`build_gcc`
+    from exact component distances scanned under ``limits``, so the
+    reported parameters are guaranteed, not estimates.
     """
     field = make_prime_field(space.q)
     records = []
@@ -368,10 +363,6 @@ def search_constructions(space, inner_families, outer_menu, max_levels):
         for combo in product(*per_block):
             chains = [c for _, c in combo]
             names = [n for n, _ in combo]
-            inner_distances = [
-                [chain.codes[j].min_distance() for chain in chains]
-                for j in range(levels)
-            ]
             outer_choices = []
             ok = True
             for j in range(levels):
@@ -383,9 +374,7 @@ def search_constructions(space, inner_families, outer_menu, max_levels):
             if not ok:
                 continue
             for outer_combo in product(*outer_choices):
-                outers = [p for _, p, _ in outer_combo]
-                outer_d = [d for _, _, d in outer_combo]
-                gcc = GccCode(space, chains, outers, inner_distances, outer_d)
+                gcc = build_gcc(space, chains, [p for _, p in outer_combo], limits)
                 records.append(
                     {
                         "k": gcc.k,
@@ -393,7 +382,7 @@ def search_constructions(space, inner_families, outer_menu, max_levels):
                         "capability_floor": gcc.capability_floor,
                         "levels": levels,
                         "inner": tuple(names),
-                        "outer": tuple(n for n, _, _ in outer_combo),
+                        "outer": tuple(n for n, _ in outer_combo),
                     }
                 )
     return records

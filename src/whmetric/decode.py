@@ -32,7 +32,7 @@ from .errors import ParameterError
 _NEVER_ERASED = float("inf")
 
 
-def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities, distance=None):
+def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities):
     """Generalized minimum distance decoding of one outer word.
 
     ``symbols`` holds one tuple per position, ``reliabilities`` one
@@ -46,7 +46,7 @@ def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities, distance=None)
             raise ParameterError("symbol widths do not match the outer code")
     if any(a < 0 for a in reliabilities):
         raise ParameterError("reliabilities must be non-negative")
-    d = outer.min_block_distance() if distance is None else distance
+    d = outer.min_block_distance()
     received = tuple(x for sym in symbols for x in sym)
     # zero-width symbols carry no information and are never erased
     rank = sorted(

@@ -2,8 +2,11 @@
 
 Everything here enumerates exhaustively and exactly: minimum weighted
 distance, error-correction capability, block-weight enumerators,
-ambient ball counts, and end-to-end decoder verification.  Enumerations
-that would exceed the configured limits are refused outright.
+ambient ball counts, and end-to-end decoder verification.  Codeword
+scans are admitted by :func:`whmetric.code.nonzero_codewords` under a
+:class:`~whmetric.code.Limits`; ambient and error-pattern enumerations
+are checked against the same object's ``max_ambient``.  Enumerations
+that would exceed a limit are refused outright.
 """
 
 from __future__ import annotations
@@ -12,37 +15,17 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .code import LinearCode, vec_add
+from .code import DEFAULT_LIMITS, LinearCode, nonzero_codewords, vec_add
 from .construct import GccCode
 from .decode import gcc_decode
 from .errors import ExhaustionError, ParameterError
 from .metric import WeightedSpace
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_codewords: int = 1 << 20
-    max_ambient: int = 1 << 22
-
-
-DEFAULT_LIMITS = OracleLimits()
-
-
-def _check_code(code: LinearCode, space: WeightedSpace, limits: OracleLimits):
+def _nonzero_codewords(code: LinearCode, space: WeightedSpace, limits):
     if code.n != space.n:
         raise ParameterError(f"code length {code.n} != space length {space.n}")
-    count = code.field.order**code.k
-    if count > limits.max_codewords:
-        raise ExhaustionError(
-            f"exhaustion refused: {count} codewords exceeds the limit {limits.max_codewords}"
-        )
-
-
-def _nonzero_codewords(code, space, limits):
-    _check_code(code, space, limits)
-    words = code.codewords()
-    next(words)  # the stream starts with the zero codeword
-    return words
+    return nonzero_codewords(code, limits)
 
 
 def exact_min_weighted_distance(code, space, limits=DEFAULT_LIMITS) -> int:
@@ -68,9 +51,8 @@ def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
 
 def block_weight_enumerator(code, space, limits=DEFAULT_LIMITS) -> dict:
     """Map block profile -> number of codewords attaining it."""
-    _check_code(code, space, limits)
-    out = {}
-    for c in code.codewords():
+    out = {(0,) * space.m: 1}
+    for c in _nonzero_codewords(code, space, limits):
         profile = space.block_profile(c)
         out[profile] = out.get(profile, 0) + 1
     return out

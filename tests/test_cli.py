@@ -131,6 +131,9 @@ def test_exhaustion_exit_3(tmp_path, capsys):
     gen = write(tmp_path, "gen.txt", "2 6 4\n1 1 1 0 0 0\n0 0 0 1 0 0\n0 0 0 0 1 0\n0 0 0 0 0 1\n")
     code, _ = run(capsys, ["analyze", "--config", cfg, gen])
     assert code == 3
+    # the inner full:3 has 8 codewords; its distance scan obeys [limits] too
+    code, _ = run(capsys, ["construct", "--config", cfg])
+    assert code == 3
 
 
 def test_construct_two_block(tmp_path, capsys):
@@ -342,6 +345,12 @@ outer.1 = {outer}
         )
         assert main(["construct", "--config", cfg]) == 2
         assert "expected an integer" in capsys.readouterr().err
+    # <family>[:<n>[:<k>]]: a k that the family does not fix, more parts,
+    # or a Reed-Solomon code without its k
+    for chain in ("repetition:3:7", "full:3:99", "hamming:3:1:5", "rs:7", "rs:2"):
+        cfg = write(tmp_path, "bad.cfg", TWO_BLOCK.replace("repetition:3", chain))
+        assert main(["construct", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_mother_dimension_beyond_the_block_count_exits_2(tmp_path, capsys):

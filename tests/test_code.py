@@ -5,6 +5,7 @@ import pytest
 from helpers import F2, F3, F7
 from whmetric.code import (
     FAIL,
+    Limits,
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
@@ -82,7 +83,7 @@ def test_min_distance_examples():
 def test_min_distance_exhaustion_refusal():
     code = named_code("full", F2, 8, 8)
     with pytest.raises(ExhaustionError):
-        code.min_distance(limit=100)
+        code.min_distance(Limits(max_codewords=100))
 
 
 def test_parity_check_consistency():

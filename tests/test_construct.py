@@ -10,7 +10,7 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
-from whmetric.code import NestedChain, PolyalphabeticCode, named_code
+from whmetric.code import Limits, NestedChain, PolyalphabeticCode, named_code
 from whmetric.construct import (
     build_gcc,
     outer_code,
@@ -30,7 +30,6 @@ def test_mixed_code_from_parity_mother():
         poly = mixed_code_from_parity_mother(q)
         assert poly.k == 3
         assert poly.min_block_distance() == 2
-        assert poly.distance_lower_bound == 2
 
 
 def test_poly_from_mother_equal_sizes_is_plain_expansion():
@@ -153,21 +152,9 @@ def test_build_gcc_validates_shapes():
         build_gcc(space, chains, [bad_outer])
 
 
-def test_declared_distances_can_replace_exact_ones():
-    space, _ = two_block_code()
-    chains = [
-        NestedChain([named_code("repetition", F2, 3, 1)]),
-        NestedChain([named_code("full", F2, 3, 3)]),
-    ]
-    gcc = build_gcc(
-        space,
-        chains,
-        [outer_code(F2, (1, 3))],
-        inner_distances=[[3, 1]],
-        outer_distances=[1],
-    )
-    assert gcc.designed_distance == 2
-    assert gcc.capability_floor == 1
+def test_whole_space_outer_has_distance_one_without_a_scan():
+    # 2^24 codewords, far past the limit: no scan is admitted or needed
+    assert outer_code(F2, (12, 12)).min_block_distance(Limits(max_codewords=16)) == 1
 
 
 def test_search_frontiers():

@@ -9,11 +9,10 @@ from helpers import (
     two_level_code,
 )
 from whmetric.bounds import singleton_bound
-from whmetric.code import named_code
+from whmetric.code import Limits, named_code
 from whmetric.errors import ExhaustionError
 from whmetric.metric import WeightedSpace
 from whmetric.oracle import (
-    OracleLimits,
     ambient_ball_count,
     block_weight_enumerator,
     exact_capability,
@@ -105,7 +104,7 @@ def test_block_weight_enumerator_total():
 def test_exhaustion_refusals():
     space = WeightedSpace(2, (3, 3), (1, 2))
     code = named_code("full", F2, 6, 6)
-    tight = OracleLimits(max_codewords=10, max_ambient=10)
+    tight = Limits(max_codewords=10, max_ambient=10)
     with pytest.raises(ExhaustionError):
         exact_min_weighted_distance(code, space, tight)
     with pytest.raises(ExhaustionError):
