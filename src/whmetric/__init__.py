@@ -4,7 +4,7 @@ Linear codes measured in a blockwise-scaled Hamming metric: exact
 capability and ball computations, four dimension bounds (packing,
 covering, singleton-style, linear programming), polyalphabetic and
 generalized concatenated constructions with a multistage decoder, and
-brute-force oracles that certify every quantity on small instances.
+exact oracles that certify every quantity on small instances.
 """
 
 from .bounds import (
@@ -13,7 +13,6 @@ from .bounds import (
     capability_range_from_distance,
     covering_bound,
     distance_required_for_capability,
-    krawtchouk,
     lp_bound,
     packing_bound,
     singleton_bound,
@@ -25,6 +24,7 @@ from .code import (
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
+    krawtchouk,
     load_matrix_file,
     named_code,
 )

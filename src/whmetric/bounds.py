@@ -25,21 +25,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import lcm
 
+from .code import krawtchouk, krawtchouk_tables  # noqa: F401 (bounds.krawtchouk stays public)
 from .errors import DefectError, ParameterError
 from .metric import WeightedSpace
 from .ratlp import LinearProgram, solve_max
-
-
-def krawtchouk(q: int, n: int, j: int, i: int) -> int:
-    """Hamming-metric Krawtchouk coefficient K_j(i) for length n over F_q."""
-    if not 0 <= i <= n or not 0 <= j <= n:
-        raise ParameterError(f"Krawtchouk indices must lie in [0, {n}]")
-    out = 0
-    for s in range(j + 1):
-        out += comb(n - i, j - s) * comb(i, s) * (q - 1) ** (j - s) * (-1) ** s
-    return out
 
 
 def packing_bound(space: WeightedSpace, t: int) -> int:
@@ -118,10 +109,7 @@ def _assemble_lp(space: WeightedSpace, t: int):
     fixed.add(profiles[0])  # the zero profile: A_0 = 1
     free = [i for i, p in enumerate(profiles) if p not in fixed]
 
-    ktab = [
-        [[krawtchouk(space.q, b, j, i) for i in range(b + 1)] for j in range(b + 1)]
-        for b in space.blocks
-    ]
+    ktab = krawtchouk_tables(space.q, space.blocks)
     kmat = []
     for jprof in profiles:
         row = []

@@ -1,9 +1,10 @@
 """Linear block codes, polyalphabetic codes, and nested code chains.
 
 Vectors are tuples of serialized field elements (see :mod:`.field`), so
-they hash and compare structurally.  Distance computations are exact
-exhaustive scans, each admitted under one :class:`Limits`; a scan past a
-limit raises :class:`~whmetric.errors.ExhaustionError` rather than
+they hash and compare structurally.  Distances are exact reductions of a
+code's split weight enumerator (:func:`split_weight_enumerator`), which
+scans the code or its dual under one :class:`Limits`; a code past a limit
+raises :class:`~whmetric.errors.ExhaustionError` rather than
 approximating.
 """
 
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb, prod
 
-from .errors import ExhaustionError, ParameterError
+from .errors import DefectError, ExhaustionError, ParameterError
 from .field import Field, make_extension_field, make_prime_field
 
 SYNDROME_TABLE_LIMIT = 1 << 20
@@ -198,17 +200,111 @@ def _stream_combinations(field, rows, length):
         yield prefix[k]
 
 
-def nonzero_codewords(code, limits):
-    """Admit a scan of every codeword of ``code`` under ``limits`` and
-    return the stream of its nonzero codewords."""
-    count = code.field.order**code.k
-    if count > limits.max_codewords:
+def krawtchouk(q: int, n: int, j: int, i: int) -> int:
+    """Hamming-metric Krawtchouk coefficient K_j(i) for length n over F_q."""
+    if not 0 <= i <= n or not 0 <= j <= n:
+        raise ParameterError(f"Krawtchouk indices must lie in [0, {n}]")
+    out = 0
+    for s in range(j + 1):
+        out += comb(n - i, j - s) * comb(i, s) * (q - 1) ** (j - s) * (-1) ** s
+    return out
+
+
+def krawtchouk_tables(q, blocks):
+    """Per block of length b, the (b + 1) x (b + 1) table K[j][i] = K_j(i)."""
+    return [[[krawtchouk(q, b, j, i) for i in range(b + 1)] for j in range(b + 1)] for b in blocks]
+
+
+def _profile_counts(words, ranges):
+    """Map block profile -> number of ``words`` with it."""
+    counts = {}
+    for c in words:
+        profile = tuple([hi - lo - c[lo:hi].count(0) for lo, hi in ranges])
+        counts[profile] = counts.get(profile, 0) + 1
+    return counts
+
+
+def _macwilliams(q, blocks, dual_counts, dual_size, size):
+    """The code's profile counts from its dual's, by the MacWilliams
+    identity for split weight enumerators:
+
+        A(j) = (1 / |C_dual|) * sum_i B(i) * prod_l K_{j_l}(i_l; b_l, q).
+
+    The product of per-block Krawtchouk matrices is applied one block at
+    a time to the dense array of counts, in lexicographic profile order,
+    at (b_l + 1) multiply-adds per profile and block.  Each A(j) must be
+    a non-negative integer, A(0) must be 1 and the counts must sum to
+    ``size``; anything else is a defect.
+    """
+    profiles = list(product(*(range(b + 1) for b in blocks)))
+    values = [dual_counts.get(p, 0) for p in profiles]
+    stride = 1  # distance between neighbours along the current block's axis
+    for table in reversed(krawtchouk_tables(q, blocks)):
+        span = len(table) * stride
+        out = [0] * len(values)
+        for base in range(0, len(values), span):
+            for first in range(base, base + stride):
+                fiber = values[first : first + span : stride]
+                if any(fiber):
+                    for j, row in enumerate(table):
+                        out[first + j * stride] = sum([k * x for k, x in zip(row, fiber)])
+        values = out
+        stride = span
+    counts = {}
+    for jprof, acc in zip(profiles, values):
+        a, rest = divmod(acc, dual_size)
+        if rest or a < 0:
+            raise DefectError(
+                f"MacWilliams transform gives {acc}/{dual_size} codewords of profile {jprof}"
+            )
+        if a:
+            counts[jprof] = a
+    if counts.get(profiles[0]) != 1 or sum(counts.values()) != size:
+        raise DefectError("MacWilliams transform does not count the zero word once and every word")
+    return counts
+
+
+def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
+    """Map block profile -> number of codewords of ``code`` with it.
+
+    A profile counts the nonzero coordinates in each of the consecutive
+    ``blocks`` (zero-width blocks allowed), which must cover the code's
+    length.  Every profile a codeword attains is a key, the zero profile
+    included, in lexicographic order.
+
+    Admission compares the code's q^k words with ``limits.max_codewords``.
+    The work then goes to the smaller side: the code's q^k words, or
+    the dual's q^(n-k) words plus the P profiles the transform fills,
+    each of which costs about what one scanned word does.  A space of
+    many short blocks has so many profiles that it keeps the direct
+    scan.  The dual's counts are mapped to the code's by
+    :func:`_macwilliams`, in integers and checked, with q the order of
+    the code's field.
+    """
+    field = code.field
+    q = field.order
+    blocks = tuple(blocks)
+    n = len(code.generator[0])
+    if any(b < 0 for b in blocks) or sum(blocks) != n:
+        raise ParameterError(f"blocks {blocks} do not cover the code length {n}")
+    size = q**code.k
+    if size > limits.max_codewords:
         raise ExhaustionError(
-            f"exhaustion refused: {count} codewords exceeds the limit {limits.max_codewords}"
+            f"exhaustion refused: {size} codewords exceeds the limit {limits.max_codewords}"
         )
-    words = code.codewords()
-    next(words)  # the stream starts with the zero codeword
-    return words
+    ranges, start = [], 0
+    for b in blocks:
+        ranges.append((start, start + b))
+        start += b
+    r = n - code.k
+    if q**r + prod(b + 1 for b in blocks) >= size:
+        return dict(sorted(_profile_counts(code.codewords(), ranges).items()))
+    if r == 0:  # the dual of the whole space is the zero word alone
+        dual_counts = {(0,) * len(blocks): 1}
+    else:
+        dual = LinearCode(field, kernel_basis(field, code.generator, n))
+        dual_counts = _profile_counts(dual.codewords(), ranges)
+    return _macwilliams(q, blocks, dual_counts, q**r, size)
 
 
 # -- linear codes -----------------------------------------------------------
@@ -277,18 +373,12 @@ class LinearCode:
             yield msg, self.encode(msg)
 
     def min_distance(self, limits=DEFAULT_LIMITS):
-        """Exact minimum Hamming distance by exhaustive codeword scan."""
-        if self._distance is not None:
-            return self._distance
-        best = self.n + 1
-        for c in nonzero_codewords(self, limits):
-            w = hamming_weight(c)
-            if w < best:
-                best = w
-                if best == 1:
-                    break
-        self._distance = best
-        return best
+        """Exact minimum Hamming distance: the smallest nonzero weight of
+        the code's weight enumerator."""
+        if self._distance is None:
+            weights = split_weight_enumerator(self, (self.n,), limits)
+            self._distance = min(w for (w,) in weights if w)
+        return self._distance
 
     # -- decoding ------------------------------------------------------
 
@@ -446,9 +536,6 @@ class PolyalphabeticCode:
         lo, hi = self._offsets[i]
         return tuple(v[lo:hi])
 
-    def block_weight(self, v):
-        return sum(1 for lo, hi in self._offsets if any(v[lo:hi]))
-
     def encode(self, message):
         if len(message) != self.k:
             raise ParameterError(f"message length {len(message)} != dimension {self.k}")
@@ -458,24 +545,19 @@ class PolyalphabeticCode:
         return _stream_combinations(self.field, self.generator, self.total_length)
 
     def min_block_distance(self, limits=DEFAULT_LIMITS):
-        """Exact minimum number of nonzero symbols over nonzero codewords.
+        """Exact minimum number of nonzero symbols over nonzero codewords:
+        the fewest nonzero entries of a nonzero profile of the split
+        weight enumerator over the symbols.
 
         The whole space contains a unit vector, so its distance is 1
         without a scan."""
-        if self._distance is not None:
-            return self._distance
-        if self.k == self.total_length:
-            self._distance = 1
-            return 1
-        best = self.n_symbols + 1
-        for c in nonzero_codewords(self, limits):
-            w = self.block_weight(c)
-            if w < best:
-                best = w
-                if best <= 1:
-                    break
-        self._distance = best
-        return best
+        if self._distance is None:
+            if self.k == self.total_length:
+                self._distance = 1
+            else:
+                profiles = split_weight_enumerator(self, self.sizes, limits)
+                self._distance = min(sum(1 for w in p if w) for p in profiles if any(p))
+        return self._distance
 
     def erasure_decode(self, r, erased):
         """Errors-and-erasures decoding over symbols; 2e + s < d contract."""

@@ -217,9 +217,17 @@ def make_prime_field(q: int) -> Field:
     return Field(q, 1, (0, 1))
 
 
+# One field per (q, m): fields are immutable, and building one finds its
+# modulus and fills its tables.
+_EXTENSION_FIELDS = {}
+
+
 def make_extension_field(q: int, m: int) -> Field:
     """F_(q^m) over the deterministic modulus choice described above."""
     _check_prime(q)
     if not isinstance(m, int) or m < 1:
         raise ParameterError(f"extension degree must be a positive integer, got {m!r}")
-    return Field(q, m, _smallest_irreducible(q, m))
+    field = _EXTENSION_FIELDS.get((q, m))
+    if field is None:
+        field = _EXTENSION_FIELDS[(q, m)] = Field(q, m, _smallest_irreducible(q, m))
+    return field

@@ -1,12 +1,13 @@
-"""Brute-force ground truth for codes in a weighted space.
+"""Exact ground truth for codes in a weighted space.
 
-Everything here enumerates exhaustively and exactly: minimum weighted
-distance, error-correction capability, block-weight enumerators,
-ambient ball counts, and end-to-end decoder verification.  Codeword
-scans are admitted by :func:`whmetric.code.nonzero_codewords` under a
-:class:`~whmetric.code.Limits`; ambient and error-pattern enumerations
-are checked against the same object's ``max_ambient``.  Enumerations
-that would exceed a limit are refused outright.
+Everything here is exact: minimum weighted distance, error-correction
+capability and block-weight enumerators are reductions of one split
+weight enumerator, :func:`whmetric.code.split_weight_enumerator`, which
+scans the code or its dual (whichever is smaller) and is admitted on the
+code's own size under a :class:`~whmetric.code.Limits`.  Ambient ball
+counts and end-to-end decoder verification enumerate exhaustively,
+checked against the same object's ``max_ambient``.  Enumerations that
+would exceed a limit are refused outright.
 """
 
 from __future__ import annotations
@@ -15,47 +16,32 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .code import DEFAULT_LIMITS, LinearCode, nonzero_codewords, vec_add
+from .code import DEFAULT_LIMITS, split_weight_enumerator, vec_add
 from .construct import GccCode
 from .decode import gcc_decode
 from .errors import ExhaustionError, ParameterError
-from .metric import WeightedSpace
-
-
-def _nonzero_codewords(code: LinearCode, space: WeightedSpace, limits):
-    if code.n != space.n:
-        raise ParameterError(f"code length {code.n} != space length {space.n}")
-    return nonzero_codewords(code, limits)
-
-
-def exact_min_weighted_distance(code, space, limits=DEFAULT_LIMITS) -> int:
-    """Minimum weighted weight over the nonzero codewords."""
-    return min(space.vector_weight(c) for c in _nonzero_codewords(code, space, limits))
-
-
-def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
-    """Exact error-correction capability: the smallest per-codeword
-    capability over the nonzero codewords."""
-    cache = {}
-    best = None
-    for c in _nonzero_codewords(code, space, limits):
-        profile = space.block_profile(c)
-        t = cache.get(profile)
-        if t is None:
-            t = space.profile_capability(profile)
-            cache[profile] = t
-        if best is None or t < best:
-            best = t
-    return best
 
 
 def block_weight_enumerator(code, space, limits=DEFAULT_LIMITS) -> dict:
     """Map block profile -> number of codewords attaining it."""
-    out = {(0,) * space.m: 1}
-    for c in _nonzero_codewords(code, space, limits):
-        profile = space.block_profile(c)
-        out[profile] = out.get(profile, 0) + 1
-    return out
+    if code.n != space.n:
+        raise ParameterError(f"code length {code.n} != space length {space.n}")
+    return split_weight_enumerator(code, space.blocks, limits)
+
+
+def _nonzero_profiles(code, space, limits):
+    return [p for p in block_weight_enumerator(code, space, limits) if any(p)]
+
+
+def exact_min_weighted_distance(code, space, limits=DEFAULT_LIMITS) -> int:
+    """Minimum weighted weight over the nonzero codewords."""
+    return min(space.weighted_weight(p) for p in _nonzero_profiles(code, space, limits))
+
+
+def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
+    """Exact error-correction capability: the smallest capability of a
+    nonzero codeword's profile."""
+    return min(space.profile_capability(p) for p in _nonzero_profiles(code, space, limits))
 
 
 def exhaustive_unique_correction_check(code, space, t, limits=DEFAULT_LIMITS) -> bool:

@@ -1,0 +1,169 @@
+"""The split weight enumerator against a brute-force reference.
+
+The reference streams every codeword and counts per-block nonzero
+coordinates directly, so it shares nothing with the Krawtchouk
+coefficients the enumerator uses when it scans the dual instead.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import F2, F3, F7
+from whmetric.code import (
+    Limits,
+    LinearCode,
+    PolyalphabeticCode,
+    named_code,
+    split_weight_enumerator,
+    vec_dot,
+)
+from whmetric.errors import DefectError, ExhaustionError, ParameterError
+from whmetric.field import make_extension_field, make_prime_field
+from whmetric.metric import WeightedSpace
+from whmetric.oracle import block_weight_enumerator, exact_capability, exact_min_weighted_distance
+
+F4 = make_extension_field(2, 2)
+F5 = make_prime_field(5)
+
+# Longest code per field order whose brute-force scan stays small.
+MAX_LENGTH = {2: 12, 3: 8, 4: 6, 5: 5, 7: 4}
+
+
+def brute_force_enumerator(code, blocks):
+    counts = {}
+    for c in code.codewords():
+        profile, start = [], 0
+        for b in blocks:
+            profile.append(sum(1 for x in c[start : start + b] if x != 0))
+            start += b
+        profile = tuple(profile)
+        counts[profile] = counts.get(profile, 0) + 1
+    return counts
+
+
+@st.composite
+def codes_and_blocks(draw):
+    """A full-rank [n, k] code, [I | A] with its columns permuted, and a
+    split of its length into up to three blocks.  Lengths start at half
+    the maximum, where high-rate codes are counted from their duals; the
+    examples below cover the shortest codes."""
+    field = draw(st.sampled_from((F2, F3, F5, F7, F4)))
+    top = MAX_LENGTH[field.order]
+    n = draw(st.integers(top // 2, top))
+    k = n - draw(st.integers(0, n - 1))
+    entry = st.integers(0, field.order - 1)
+    rows = [
+        [int(i == j) for j in range(k)] + draw(st.lists(entry, min_size=n - k, max_size=n - k))
+        for i in range(k)
+    ]
+    order = draw(st.permutations(range(n)))
+    rows = [[row[c] for c in order] for row in rows]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    blocks = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    return LinearCode(field, rows), blocks
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _parity(field, n):
+    return [[int(i == j) if j < n - 1 else field.neg(1) for j in range(n)] for i in range(n - 1)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(codes_and_blocks())
+@example((LinearCode(F2, _identity(6)), (3, 3)))  # k = n, the dual is {0}
+@example((LinearCode(F7, _identity(3)), (1, 2)))
+@example((LinearCode(F2, _parity(F2, 9)), (4, 5)))  # k = n - 1
+@example((LinearCode(F5, _parity(F5, 5)), (2, 3)))
+@example((LinearCode(F3, [[1, 1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 2, 0, 1]]), (3, 4)))  # low rate
+@example((named_code("reed_solomon", F4, 4, 3), (2, 2)))  # over GF(4)
+def test_enumerator_matches_brute_force(case):
+    code, blocks = case
+    assert split_weight_enumerator(code, blocks) == brute_force_enumerator(code, blocks)
+
+
+def test_polyalphabetic_with_a_zero_width_symbol():
+    rows = [
+        (1, 0, 1, 1, 0),
+        (0, 1, 2, 0, 1),
+        (1, 1, 0, 2, 2),
+        (0, 0, 1, 1, 1),
+    ]
+    poly = PolyalphabeticCode(F3, (2, 0, 3), rows)
+    profiles = split_weight_enumerator(poly, poly.sizes)
+    assert profiles == brute_force_enumerator(poly, poly.sizes)
+    assert all(p[1] == 0 for p in profiles)
+    fewest = min(sum(1 for w in p if w) for p in brute_force_enumerator(poly, poly.sizes) if any(p))
+    assert poly.min_block_distance() == fewest
+
+
+def _count_scanned(monkeypatch):
+    scanned = []
+    original = LinearCode.codewords
+
+    def counting(self):
+        for c in original(self):
+            scanned.append(c)
+            yield c
+
+    monkeypatch.setattr(LinearCode, "codewords", counting)
+    return scanned
+
+
+def test_high_rate_code_is_counted_from_its_dual(monkeypatch):
+    ham = named_code("hamming", F2, 15, 11)
+    space = WeightedSpace(2, (7, 8), (1, 2))
+    expected = brute_force_enumerator(ham, space.blocks)
+    scanned = _count_scanned(monkeypatch)
+    assert block_weight_enumerator(ham, space) == expected
+    assert len(scanned) == 16  # the [15, 4] dual, against 2048 codewords
+    assert all(vec_dot(F2, g, h) == 0 for g in ham.generator for h in scanned)
+
+
+def test_low_rate_code_is_scanned_directly(monkeypatch):
+    rep = named_code("repetition", F3, 6, 1)
+    scanned = _count_scanned(monkeypatch)
+    assert split_weight_enumerator(rep, (2, 4)) == {(0, 0): 1, (2, 4): 2}
+    assert len(scanned) == 3
+
+
+def _tamper_dual_scan(monkeypatch, tamper):
+    original = LinearCode.codewords
+    monkeypatch.setattr(LinearCode, "codewords", lambda self: tamper(list(original(self))))
+
+
+def test_a_dual_scan_with_a_word_too_many_is_a_defect(monkeypatch):
+    ham = named_code("hamming", F3, 13, 10)
+    _tamper_dual_scan(monkeypatch, lambda words: words + words[:1])
+    with pytest.raises(DefectError):
+        split_weight_enumerator(ham, (6, 7))
+
+
+def test_a_dual_scan_with_a_wrong_word_is_a_defect(monkeypatch):
+    # the totals still match: one nonzero word swapped for a unit vector
+    ham = named_code("hamming", F3, 13, 10)
+    unit = (1,) + (0,) * 12
+    _tamper_dual_scan(monkeypatch, lambda words: words[:-1] + [unit])
+    with pytest.raises(DefectError, match="MacWilliams transform gives"):
+        split_weight_enumerator(ham, (6, 7))
+
+
+def test_admission_counts_the_code_not_the_scanned_side():
+    ham = named_code("hamming", F2, 15, 11)  # 2^11 codewords, a 16-word dual
+    space = WeightedSpace(2, (7, 8), (1, 2))
+    small = Limits(max_codewords=1000)
+    with pytest.raises(ExhaustionError):
+        ham.min_distance(small)
+    with pytest.raises(ExhaustionError):
+        exact_min_weighted_distance(ham, space, small)
+    with pytest.raises(ExhaustionError):
+        exact_capability(ham, space, small)
+    assert ham.min_distance(Limits(max_codewords=2048)) == 3
+
+
+def test_blocks_must_cover_the_code():
+    with pytest.raises(ParameterError):
+        split_weight_enumerator(named_code("hamming", F2, 7, 4), (3, 3))
