@@ -8,7 +8,10 @@ space that corrects every error of weighted weight up to t:
 * singleton: capability of the forced low-support codeword,
 * lp: Delsarte-style linear program over block-weight enumerators with
   Krawtchouk coefficient constraints, presolved and solved exactly; the
-  witness is re-checked against the unreduced constraints.
+  witness is re-checked against the unreduced constraints.  Every
+  radius poses the same rows, so a bound table solves its radii as one
+  downward sweep on one tableau, each radius unlocking the entries it
+  frees.
 
 Packing and covering round through exact integer power comparisons, and
 the LP optimum is converted to a dimension by exact comparison against
@@ -30,7 +33,7 @@ from math import lcm
 from .code import krawtchouk, krawtchouk_tables  # noqa: F401 (bounds.krawtchouk stays public)
 from .errors import DefectError, ParameterError
 from .metric import WeightedSpace
-from .ratlp import LinearProgram, solve_max
+from .ratlp import LinearProgram, solve_sweep
 
 
 def packing_bound(space: WeightedSpace, t: int) -> int:
@@ -88,6 +91,14 @@ def singleton_k_for_t(space: WeightedSpace, t: int) -> int:
     return 0
 
 
+def _free_entries(space: WeightedSpace, profiles, t: int):
+    """Indices of the profiles whose enumerator entry the LP at radius t
+    leaves free: every profile but zero and those in the difference ball."""
+    fixed = set(space.diff_ball_profiles(t))
+    fixed.add(profiles[0])  # the zero profile: A_0 = 1
+    return [i for i, p in enumerate(profiles) if p not in fixed]
+
+
 def _assemble_lp(space: WeightedSpace, t: int):
     """The Delsarte LP for capability t, with its fixed variables presolved.
 
@@ -105,9 +116,7 @@ def _assemble_lp(space: WeightedSpace, t: int):
     index of each LP variable.
     """
     profiles = list(product(*(range(b + 1) for b in space.blocks)))
-    fixed = set(space.diff_ball_profiles(t))
-    fixed.add(profiles[0])  # the zero profile: A_0 = 1
-    free = [i for i, p in enumerate(profiles) if p not in fixed]
+    free = _free_entries(space, profiles, t)
 
     ktab = krawtchouk_tables(space.q, space.blocks)
     kmat = []
@@ -137,27 +146,45 @@ def _check_enumerator(kmat, enumerator):
             raise DefectError("LP witness violates a Delsarte constraint")
 
 
+def _lp_sweep(space: WeightedSpace, radii):
+    """Yield (k, optimum) of the LP bound at each of the descending ``radii``.
+
+    Every radius poses the same rows, and a larger radius only fixes
+    more entries at zero, so one tableau serves them all: the LP is
+    assembled at the smallest radius and each radius is a stage of
+    :func:`~whmetric.ratlp.solve_sweep` that unlocks the entries it
+    frees.  A radius with no free entry has optimum 1 and no LP.  Each
+    witness is re-checked against the unreduced rows.
+    """
+    lp, kmat, free = _assemble_lp(space, radii[-1])
+    profiles = list(product(*(range(b + 1) for b in space.blocks)))
+    column = {i: c for c, i in enumerate(free)}
+    stages = [[column[i] for i in _free_entries(space, profiles, t)] for t in radii]
+    results = solve_sweep(lp, [s for s in stages if s]) if lp else None
+    for stage in stages:
+        enumerator = [Fraction(0)] * len(kmat)
+        enumerator[0] = Fraction(1)
+        if stage:
+            result = next(results)
+            if result.status != "optimal":
+                raise DefectError(
+                    f"capability LP reported {result.status}; it is always feasible and bounded"
+                )
+            for c, x in zip(stage, result.solution):
+                enumerator[free[c]] = x
+        _check_enumerator(kmat, enumerator)
+        opt = sum(enumerator)
+        k = 0
+        while k < space.n and Fraction(space.q) ** (k + 1) <= opt:
+            k += 1
+        yield k, opt
+
+
 def lp_bound_detail(space: WeightedSpace, t: int):
     """LP dimension bound together with the exact rational LP optimum."""
     if t < 0:
         raise ParameterError("capability must be non-negative")
-    lp, kmat, free = _assemble_lp(space, t)
-    enumerator = [Fraction(0)] * len(kmat)
-    enumerator[0] = Fraction(1)
-    if free:
-        result = solve_max(lp)
-        if result.status != "optimal":
-            raise DefectError(
-                f"capability LP reported {result.status}; it is always feasible and bounded"
-            )
-        for i, x in zip(free, result.solution):
-            enumerator[i] = x
-    _check_enumerator(kmat, enumerator)
-    opt = sum(enumerator)
-    k = 0
-    while k < space.n and Fraction(space.q) ** (k + 1) <= opt:
-        k += 1
-    return k, opt
+    return next(_lp_sweep(space, [t]))
 
 
 def lp_bound(space: WeightedSpace, t: int) -> int:
@@ -230,9 +257,14 @@ class BoundTable:
 
 
 def build_bound_table(space: WeightedSpace, t_min: int, t_max: int) -> BoundTable:
+    """The four bounds at every radius t_min..t_max; the LP bounds come
+    from one downward sweep, t_max first."""
+    if t_min < 0:
+        raise ParameterError("capability must be non-negative")
+    radii = range(t_max, t_min - 1, -1)
+    lp = list(_lp_sweep(space, radii))[::-1] if radii else []
     rows = []
-    for t in range(t_min, t_max + 1):
-        lp_k, lp_opt = lp_bound_detail(space, t)
+    for t, (lp_k, lp_opt) in zip(range(t_min, t_max + 1), lp):
         rows.append(
             BoundRow(
                 t=t,

@@ -272,14 +272,15 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     length.  Every profile a codeword attains is a key, the zero profile
     included, in lexicographic order.
 
-    Admission compares the code's q^k words with ``limits.max_codewords``.
-    The work then goes to the smaller side: the code's q^k words, or
-    the dual's q^(n-k) words plus the P profiles the transform fills,
-    each of which costs about what one scanned word does.  A space of
-    many short blocks has so many profiles that it keeps the direct
-    scan.  The dual's counts are mapped to the code's by
-    :func:`_macwilliams`, in integers and checked, with q the order of
-    the code's field.
+    Admission compares the code's q^k words with ``limits.max_codewords``
+    on every call.  The work then goes to the smaller side: the code's
+    q^k words, or the dual's q^(n-k) words plus the P profiles the
+    transform fills, each of which costs about what one scanned word
+    does.  A space of many short blocks has so many profiles that it
+    keeps the direct scan.  The dual's counts are mapped to the code's
+    by :func:`_macwilliams`, in integers and checked, with q the order
+    of the code's field.  The counts are kept on the code, once per
+    ``blocks``, and each call returns a copy.
     """
     field = code.field
     q = field.order
@@ -292,6 +293,18 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
         raise ExhaustionError(
             f"exhaustion refused: {size} codewords exceeds the limit {limits.max_codewords}"
         )
+    counts = code._enumerators.get(blocks)
+    if counts is None:
+        counts = code._enumerators[blocks] = _split_counts(code, blocks, size)
+    return dict(counts)
+
+
+def _split_counts(code, blocks, size):
+    """The profile counts of the ``size`` words of ``code``, scanned on
+    whichever of the code and its dual is cheaper."""
+    field = code.field
+    q = field.order
+    n = len(code.generator[0])
     ranges, start = [], 0
     for b in blocks:
         ranges.append((start, start + b))
@@ -339,6 +352,7 @@ class LinearCode:
         self.rref, self.pivots = row_reduce(field, keep)
         self._parity = None
         self._distance = None
+        self._enumerators = {}
         self._syndrome_table = None
 
     def __repr__(self):
@@ -516,6 +530,7 @@ class PolyalphabeticCode:
         self.generator = tuple(keep)
         self.k = len(keep)
         self._distance = None
+        self._enumerators = {}
         offsets, start = [], 0
         for s in sizes:
             offsets.append((start, start + s))

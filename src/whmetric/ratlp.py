@@ -16,12 +16,20 @@ small.  Pivots follow Dantzig's rule for speed and switch to Bland's
 rule whenever the objective stalls on degenerate pivots, so termination
 stays guaranteed.
 
-A returned optimum is certified, not trusted.  The primal witness is
-re-substituted into every constraint, which proves the optimum is at
-least the returned value.  The dual multipliers, read from the final
-objective row, are checked to satisfy the dual constraints with the
-same objective value, which proves it is at most that value.  Both
-checks run in integers over one common denominator.
+One program can also be solved as a sweep (:func:`solve_sweep`): a
+sequence of stages, each keeping more of its columns and fixing the
+rest at zero.  Unlocking a column never makes the current basis
+infeasible, so each stage appends its new columns to the tableau and
+the same simplex continues from the last optimum, with no phase 1.
+:func:`solve_max` is the sweep of one stage that unlocks every column.
+
+A returned optimum is certified, not trusted, against the program of
+its own stage.  The primal witness is re-substituted into every
+constraint, which proves the optimum is at least the returned value.
+The dual multipliers, read from the final objective row, are checked
+to satisfy the dual constraints with the same objective value, which
+proves it is at most that value.  Both checks run in integers over one
+common denominator.
 
 Instances here are small (a few hundred variables), which is why the
 dense tableau is acceptable.
@@ -106,28 +114,22 @@ def _pivot(tableau, den, pr, pc):
 _STALL_LIMIT = 32
 
 
-def _simplex(tableau, basic, nonbasic, cost):
-    """Maximize integer ``cost`` over the current basic feasible tableau.
+def _simplex(tableau, basic, nonbasic, den):
+    """Continue the primal simplex from the basic feasible ``tableau``.
 
     ``tableau`` has one row per basic variable (``basic[i]``) and one
     column per nonbasic variable (``nonbasic[j]``), then the rhs, all
-    over a common denominator that starts at 1; the last row is the
-    objective row and is maintained in place.  Pivots use Dantzig's rule
-    (most negative reduced cost) for speed, falling back to Bland's rule
-    while the objective is stalled on degenerate pivots, which keeps the
+    over the positive common denominator ``den``; the last row is the
+    objective row (reduced costs, then the objective value), and every
+    row is updated in place.  Pivots use Dantzig's rule (most negative
+    reduced cost) for speed, falling back to Bland's rule while the
+    objective is stalled on degenerate pivots, which keeps the
     termination guarantee; ties go to the lowest variable.  Ratios are
     compared by cross-multiplying.  Returns ("optimal" or "unbounded",
     den).
     """
-    den = 1
     body = tableau[:-1]
     obj = tableau[-1]
-    # objective row: obj[j] = sum(cost[basic] * row[j]) - cost[nonbasic[j]] * den
-    obj[:] = [-cost[v] for v in nonbasic] + [0]
-    for i, bv in enumerate(basic):
-        cb = cost[bv]
-        if cb:
-            obj[:] = [o + cb * a for o, a in zip(obj, body[i])]
     stalled = 0
     while True:
         candidates = [(v, j) for j, v in enumerate(nonbasic) if obj[j] < 0]
@@ -157,45 +159,102 @@ def _simplex(tableau, basic, nonbasic, cost):
             stalled = 0
 
 
-def solve_max(lp: LinearProgram) -> LpResult:
-    """Exact optimum of ``lp``; status is optimal or unbounded."""
+def _unlock(tableau, basic, nonbasic, den, scaled, objective, columns):
+    """Append the structural ``columns`` to the tableau as nonbasic columns.
+
+    A column a of the scaled rows enters as den * B^-1 a.  The tableau
+    already holds den * B^-1 e_i for every row i: it is slack i's column
+    while that slack is nonbasic, and den times the unit vector of the
+    row where it is basic.  The objective entry is the reduced cost, the
+    same combination of the objective row less den times the cost.  The
+    entries are the minors the column would hold had it been there from
+    the start, so later pivots still divide exactly.
+    """
+    nvars = len(objective)
+    slacks = [(j, v - nvars) for j, v in enumerate(nonbasic) if v >= nvars]
+    for c in columns:
+        terms = [(j, scaled[i][c]) for j, i in slacks if scaled[i][c]]
+        for r, row in enumerate(tableau):
+            entry = sum([row[j] * a for j, a in terms])
+            if r == len(basic):
+                entry -= objective[c] * den
+            elif basic[r] >= nvars:
+                entry += den * scaled[basic[r] - nvars][c]
+            row.insert(-1, entry)
+        nonbasic.append(c)
+
+
+def solve_sweep(lp: LinearProgram, stages):
+    """Yield the exact optimum of ``lp`` restricted to each stage in turn.
+
+    A stage is a list of column indices of ``lp``: its program keeps
+    those columns and fixes the others at zero.  Each stage holds every
+    column of the one before, so the last optimal basis stays feasible,
+    the newly unlocked columns are appended to its tableau and the same
+    simplex continues from there.  Each input row is divided by the gcd
+    of its coefficients over every column and its rhs, so unlocked
+    columns stay integral.  A stage's result is certified against that
+    stage's own program; its solution lists one value per stage column,
+    in stage order.
+    """
     nvars, nrows = len(lp.objective), len(lp.rows)
     # Each tableau row is its input row divided by g > 0, so the input
     # row's multiplier is the tableau row's divided by g.
-    gcds, tableau = [], []
+    gcds, scaled, tableau = [], [], []
     for coeffs, rhs in lp.rows:
         g = gcd(rhs, *coeffs) or 1
         gcds.append(g)
-        tableau.append([c // g for c in coeffs] + [rhs // g])
-    tableau.append([0] * (nvars + 1))  # objective row
-    # Variables: structurals first, then one slack per row.  The slacks
-    # start basic (the origin); the structurals start as columns.
-    basic = list(range(nvars, nvars + nrows))
-    nonbasic = list(range(nvars))
-    status, den = _simplex(tableau, basic, nonbasic, lp.objective + [0] * nrows)
-    if status == "unbounded":
-        return LpResult(status="unbounded")
-
-    # Put the witness and the multipliers over one denominator den * L.
+        scaled.append([c // g for c in coeffs])
+        tableau.append([rhs // g])
+    tableau.append([0])  # objective row
     scale = lcm(*gcds)
-    x = [0] * nvars
-    for i, bv in enumerate(basic):
-        if bv < nvars:
-            x[bv] = tableau[i][-1] * scale
-    # a row's multiplier is the reduced cost of its slack (0 while basic)
-    y = [0] * nrows
-    for j, v in enumerate(nonbasic):
-        if v >= nvars:
-            y[v - nvars] = tableau[-1][j] * (scale // gcds[v - nvars])
-    den *= scale
+    # Variables: structurals first, then one slack per row.  The slacks
+    # start basic (the origin); structurals join as columns when unlocked.
+    basic = list(range(nvars, nvars + nrows))
+    nonbasic = []
+    den = 1
+    unlocked = set()
+    for stage in stages:
+        stage = list(stage)
+        if len(set(stage)) != len(stage) or not all(0 <= c < nvars for c in stage):
+            raise ParameterError("a stage lists distinct columns of the program")
+        if not unlocked <= set(stage):
+            raise ParameterError("each stage must keep every column of the one before")
+        new = [c for c in stage if c not in unlocked]
+        _unlock(tableau, basic, nonbasic, den, scaled, lp.objective, new)
+        unlocked.update(stage)
+        own = LinearProgram(
+            objective=[lp.objective[c] for c in stage],
+            rows=[([coeffs[c] for c in stage], rhs) for coeffs, rhs in lp.rows],
+        )
+        status, den = _simplex(tableau, basic, nonbasic, den)
+        if status == "unbounded":
+            yield LpResult(status="unbounded")
+            continue
 
-    _verify(lp, x, y, den)
-    return LpResult(
-        status="optimal",
-        value=Fraction(sum(c * xj for c, xj in zip(lp.objective, x)), den),
-        solution=[Fraction(xj, den) for xj in x],
-        dual=[Fraction(yi, den) for yi in y],
-    )
+        # Put the witness and the multipliers over one denominator den * L.
+        position = {c: n for n, c in enumerate(stage)}
+        x = [0] * len(stage)
+        for i, bv in enumerate(basic):
+            if bv < nvars:
+                x[position[bv]] = tableau[i][-1] * scale
+        # a row's multiplier is the reduced cost of its slack (0 while basic)
+        y = [0] * nrows
+        for j, v in enumerate(nonbasic):
+            if v >= nvars:
+                y[v - nvars] = tableau[-1][j] * (scale // gcds[v - nvars])
+        _verify(own, x, y, den * scale)
+        yield LpResult(
+            status="optimal",
+            value=Fraction(sum(c * xj for c, xj in zip(own.objective, x)), den * scale),
+            solution=[Fraction(xj, den * scale) for xj in x],
+            dual=[Fraction(yi, den * scale) for yi in y],
+        )
+
+
+def solve_max(lp: LinearProgram) -> LpResult:
+    """Exact optimum of ``lp``; status is optimal or unbounded."""
+    return next(solve_sweep(lp, [range(len(lp.objective))]))
 
 
 def _verify(lp, x, y, den):

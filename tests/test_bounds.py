@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import F7, two_block_code
 from whmetric import bounds as bounds_module
@@ -188,12 +191,67 @@ def test_presolved_lp_matches_unreduced_two_phase_lp(q, blocks, scales):
 
 
 def test_lp_witness_is_checked_on_unreduced_rows(monkeypatch):
-    # a witness that breaks a Delsarte row must not become a bound
-    def bogus(lp):
-        solution = [Fraction(0)] * len(lp.objective)
-        solution[-1] = Fraction(10**6)
-        return LpResult(status="optimal", value=sum(solution), solution=solution)
+    # a witness that breaks a Delsarte row must not become a bound, at a
+    # single radius or at a radius inside a sweep
+    sweep = bounds_module.solve_sweep
 
-    monkeypatch.setattr(bounds_module, "solve_max", bogus)
+    def bogus_at(stage):
+        def solve(lp, stages):
+            for n, result in enumerate(sweep(lp, stages)):
+                if n == stage:
+                    solution = [Fraction(0)] * len(result.solution)
+                    solution[-1] = Fraction(10**6)
+                    result = LpResult(status="optimal", value=sum(solution), solution=solution)
+                yield result
+
+        return solve
+
+    monkeypatch.setattr(bounds_module, "solve_sweep", bogus_at(0))
     with pytest.raises(DefectError, match="Delsarte"):
         lp_bound_detail(SP2, 3)
+    monkeypatch.setattr(bounds_module, "solve_sweep", bogus_at(2))  # t = 4 of 6..3
+    with pytest.raises(DefectError, match="Delsarte"):
+        build_bound_table(SP2, 3, 6)
+
+
+def test_bound_table_checks_the_radius_range_before_solving(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("the LP ran before the range was checked")
+
+    monkeypatch.setattr(bounds_module, "solve_sweep", no_lp)
+    with pytest.raises(ParameterError):
+        build_bound_table(SP2, -1, 10)
+
+
+def test_bound_table_past_the_largest_weight_has_no_free_entry():
+    sp = WeightedSpace(2, (3, 3), (1, 2))
+    table = build_bound_table(sp, sp.max_weight + 1, sp.max_weight + 3)
+    assert [(r.lp, r.lp_optimum) for r in table.rows] == [(0, 1)] * 3
+
+
+@st.composite
+def small_spaces(draw):
+    m = draw(st.integers(2, 3))
+    blocks = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    scales = sorted(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    return WeightedSpace(draw(st.sampled_from((2, 3, 5))), blocks, scales)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(small_spaces())
+def test_sweep_optima_equal_single_radius_optima(space):
+    table = build_bound_table(space, 0, space.max_weight)
+    for row in table.rows:
+        assert row.lp_optimum == lp_bound_detail(space, row.t)[1], row.t
+
+
+def test_three_block_table_sweeps_lazily():
+    # Carrying all 511 columns of (7,7,7) through every pivot took minutes
+    # per radius; unlocking them lazily keeps the sweep to seconds.
+    space = WeightedSpace(2, (7, 7, 7), (1, 2, 3))
+    start = time.perf_counter()
+    table = build_bound_table(space, 13, 16)
+    elapsed = time.perf_counter() - start
+    optima = [Fraction(56, 13), Fraction(60, 17), Fraction(64, 21), Fraction(68, 25)]
+    assert [r.lp_optimum for r in table.rows] == optima
+    assert elapsed < 60, f"{elapsed:.1f} s"

@@ -93,6 +93,14 @@ def test_bounds_empty_range(tmp_path, capsys):
     assert out == "t,packing,singleton,lp,covering\n"
 
 
+def test_bounds_negative_t_min_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "space.cfg", SPACE_33)
+    assert main(["bounds", "--config", cfg, "--t-min", "-1", "--t-max", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_bounds_json_includes_raw_lp_optimum(tmp_path, capsys):
     cfg = write(tmp_path, "space.cfg", SPACE_33)
     code, out = run(

@@ -8,6 +8,7 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
+from whmetric import code as code_module
 from whmetric.bounds import singleton_bound
 from whmetric.code import Limits, named_code
 from whmetric.errors import ExhaustionError
@@ -114,6 +115,31 @@ def test_exhaustion_refusals():
     space4, gcc4 = two_block_code()
     with pytest.raises(ExhaustionError):
         exhaustive_decoder_check(gcc4, 1, tight)
+
+
+def test_distance_and_capability_share_one_scan(monkeypatch):
+    space, gcc = three_block_code()
+    code = gcc.as_linear_code()
+    scans = []
+    count = code_module._profile_counts
+
+    def counted(words, ranges):
+        scans.append(ranges)
+        return count(words, ranges)
+
+    monkeypatch.setattr(code_module, "_profile_counts", counted)
+    assert exact_min_weighted_distance(code, space) == 6
+    assert exact_capability(code, space) == 2
+    assert len(scans) == 1
+    block_weight_enumerator(code, space).clear()  # callers get a copy
+    assert exact_capability(code, space) == 2
+    # the cache never bypasses admission
+    tight = Limits(max_codewords=code.field.order**code.k - 1)
+    with pytest.raises(ExhaustionError):
+        exact_min_weighted_distance(code, space, tight)
+    with pytest.raises(ExhaustionError):
+        exact_capability(code, space, tight)
+    assert len(scans) == 1
 
 
 def test_decoder_check_reports():

@@ -7,7 +7,7 @@ import pytest
 
 from whmetric import ratlp
 from whmetric.errors import DefectError, ParameterError
-from whmetric.ratlp import LinearProgram, solve_max
+from whmetric.ratlp import LinearProgram, solve_max, solve_sweep
 
 
 def test_single_variable_box():
@@ -173,3 +173,47 @@ def test_tampered_dual_is_rejected(dual, reason):
     ratlp._verify(lp, *_certificate(res.solution, res.dual))
     with pytest.raises(DefectError, match=reason):
         ratlp._verify(lp, *_certificate(res.solution, dual))
+
+
+# -- sweeps: columns unlocked in stages ----------------------------------------
+
+
+def _restricted(lp, stage):
+    return LinearProgram(
+        objective=[lp.objective[c] for c in stage],
+        rows=[([coeffs[c] for c in stage], rhs) for coeffs, rhs in lp.rows],
+    )
+
+
+def test_sweep_stages_match_cold_solves():
+    rng = random.Random(717171)
+    for case in range(150):
+        nvars = rng.randint(2, 7)
+        rows = [
+            ([rng.randint(-9, 9) for _ in range(nvars)], rng.randint(0, 9))
+            for _ in range(rng.randint(1, 6))
+        ]
+        rows.append(([rng.randint(1, 3) for _ in range(nvars)], rng.randint(0, 20)))  # bounded
+        lp = LinearProgram(objective=[rng.randint(-3, 9) for _ in range(nvars)], rows=rows)
+        order = rng.sample(range(nvars), nvars)
+        cuts = sorted(rng.sample(range(1, nvars + 1), rng.randint(1, nvars)))
+        stages = [sorted(order[:cut]) for cut in cuts]
+        for stage, res in zip(stages, solve_sweep(lp, stages)):
+            own = _restricted(lp, stage)
+            cold = solve_max(own)
+            assert res.status == cold.status == "optimal", f"case {case}"
+            assert res.value == cold.value, f"case {case}, stage {stage}"
+            ratlp._verify(own, *_certificate(res.solution, res.dual))
+
+
+def test_sweep_reports_each_unbounded_stage():
+    lp = LinearProgram(objective=[1, 1], rows=[([1, 0], 5)])
+    assert [r.status for r in solve_sweep(lp, [[0], [0, 1]])] == ["optimal", "unbounded"]
+
+
+def test_sweep_cannot_lock_a_column():
+    lp = LinearProgram(objective=[1, 1], rows=[([1, 1], 5)])
+    with pytest.raises(ParameterError, match="keep every column"):
+        list(solve_sweep(lp, [[0, 1], [1]]))
+    with pytest.raises(ParameterError, match="distinct columns"):
+        list(solve_sweep(lp, [[0, 0]]))
