@@ -33,7 +33,7 @@ from math import lcm
 from .code import krawtchouk, krawtchouk_tables  # noqa: F401 (bounds.krawtchouk stays public)
 from .errors import DefectError, ParameterError
 from .metric import WeightedSpace
-from .ratlp import LinearProgram, solve_sweep
+from .ratlp import LinearProgram, _verify, solve_sweep
 
 
 def packing_bound(space: WeightedSpace, t: int) -> int:
@@ -153,18 +153,28 @@ def _lp_sweep(space: WeightedSpace, radii):
     more entries at zero, so one tableau serves them all: the LP is
     assembled at the smallest radius and each radius is a stage of
     :func:`~whmetric.ratlp.solve_sweep` that unlocks the entries it
-    frees.  A radius with no free entry has optimum 1 and no LP.  Each
-    witness is re-checked against the unreduced rows.
+    frees.  A radius with no free entry has optimum 1 and no LP.  A
+    radius that frees every nonzero entry (t = 0) has optimum q^N and
+    no simplex either: the whole space's enumerator is the witness, and
+    the all-ones dual certifies it, since sum_j K(j, i) = q^N [i = 0].
+    Each witness is re-checked against the unreduced rows.
     """
     lp, kmat, free = _assemble_lp(space, radii[-1])
     profiles = list(product(*(range(b + 1) for b in space.blocks)))
     column = {i: c for c, i in enumerate(free)}
     stages = [[column[i] for i in _free_entries(space, profiles, t)] for t in radii]
-    results = solve_sweep(lp, [s for s in stages if s]) if lp else None
+    whole = len(profiles) - 1
+    swept = [s for s in stages if 0 < len(s) < whole]
+    results = solve_sweep(lp, swept) if swept else None
     for stage in stages:
         enumerator = [Fraction(0)] * len(kmat)
         enumerator[0] = Fraction(1)
-        if stage:
+        if len(stage) == whole:
+            counts = [space.profile_count(profiles[i]) for i in free]
+            _verify(lp, counts, [1] * len(lp.rows), 1)
+            for i, a in zip(free, counts):
+                enumerator[i] = Fraction(a)
+        elif stage:
             result = next(results)
             if result.status != "optimal":
                 raise DefectError(

@@ -264,6 +264,16 @@ def _macwilliams(q, blocks, dual_counts, dual_size, size):
     return counts
 
 
+def _admit(code, limits):
+    """The number q^k of ``code``'s words, if ``limits`` admit scanning them."""
+    size = code.field.order**code.k
+    if size > limits.max_codewords:
+        raise ExhaustionError(
+            f"exhaustion refused: {size} codewords exceeds the limit {limits.max_codewords}"
+        )
+    return size
+
+
 def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     """Map block profile -> number of codewords of ``code`` with it.
 
@@ -282,17 +292,11 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     of the code's field.  The counts are kept on the code, once per
     ``blocks``, and each call returns a copy.
     """
-    field = code.field
-    q = field.order
     blocks = tuple(blocks)
     n = len(code.generator[0])
     if any(b < 0 for b in blocks) or sum(blocks) != n:
         raise ParameterError(f"blocks {blocks} do not cover the code length {n}")
-    size = q**code.k
-    if size > limits.max_codewords:
-        raise ExhaustionError(
-            f"exhaustion refused: {size} codewords exceeds the limit {limits.max_codewords}"
-        )
+    size = _admit(code, limits)
     counts = code._enumerators.get(blocks)
     if counts is None:
         counts = code._enumerators[blocks] = _split_counts(code, blocks, size)
@@ -388,11 +392,19 @@ class LinearCode:
 
     def min_distance(self, limits=DEFAULT_LIMITS):
         """Exact minimum Hamming distance: the smallest nonzero weight of
-        the code's weight enumerator."""
+        the code's weight enumerator.  The code is admitted under
+        ``limits`` on every call; the distance is reduced once."""
+        _admit(self, limits)
         if self._distance is None:
             weights = split_weight_enumerator(self, (self.n,), limits)
             self._distance = min(w for (w,) in weights if w)
         return self._distance
+
+    def _decoding_distance(self):
+        """The distance the decoders work to: the one already reduced,
+        whatever limits admitted it, or else one admitted under the
+        default limits."""
+        return self.min_distance() if self._distance is None else self._distance
 
     # -- decoding ------------------------------------------------------
 
@@ -416,7 +428,7 @@ class LinearCode:
         """Unique codeword within (d-1)//2 of r, else FAIL (None)."""
         if len(r) != self.n:
             raise ParameterError(f"vector length {len(r)} != code length {self.n}")
-        radius = (self.min_distance() - 1) // 2
+        radius = (self._decoding_distance() - 1) // 2
         if self.field.order ** (self.n - self.k) <= SYNDROME_TABLE_LIMIT:
             if self._syndrome_table is None:
                 self._syndrome_table = self._build_syndrome_table(radius)
@@ -447,7 +459,7 @@ class LinearCode:
             keep_symbols=keep,
             n_symbols=self.n,
             s=len(erased),
-            distance=self.min_distance(),
+            distance=self._decoding_distance(),
             symbol_of=lambda v, i: v[i],
             coords_of_symbol=lambda i: (i,),
             received=r,
@@ -565,14 +577,21 @@ class PolyalphabeticCode:
         weight enumerator over the symbols.
 
         The whole space contains a unit vector, so its distance is 1
-        without a scan."""
+        without a scan.  Any other code is admitted under ``limits`` on
+        every call; the distance is reduced once."""
+        if self.k == self.total_length:
+            return 1
+        _admit(self, limits)
         if self._distance is None:
-            if self.k == self.total_length:
-                self._distance = 1
-            else:
-                profiles = split_weight_enumerator(self, self.sizes, limits)
-                self._distance = min(sum(1 for w in p if w) for p in profiles if any(p))
+            profiles = split_weight_enumerator(self, self.sizes, limits)
+            self._distance = min(sum(1 for w in p if w) for p in profiles if any(p))
         return self._distance
+
+    def _decoding_distance(self):
+        """The block distance the decoders work to: the one already
+        reduced, whatever limits admitted it, or else one admitted under
+        the default limits."""
+        return self.min_block_distance() if self._distance is None else self._distance
 
     def erasure_decode(self, r, erased):
         """Errors-and-erasures decoding over symbols; 2e + s < d contract."""
@@ -587,7 +606,7 @@ class PolyalphabeticCode:
             keep_symbols=keep,
             n_symbols=self.n_symbols,
             s=len(erased),
-            distance=self.min_block_distance(),
+            distance=self._decoding_distance(),
             symbol_of=lambda v, i: self.symbol(v, i),
             coords_of_symbol=lambda i: range(*self._offsets[i]),
             received=r,

@@ -12,15 +12,17 @@ Two builders:
   nested inner-code chain per block and one polyalphabetic outer code
   per level, and computes its designed weighted distance and a floor on
   its error-correction capability from the exact component distances,
-  each scanned once under the given limits and cached on its code.
+  each admitted under the given limits and reduced from its code's split
+  weight enumerator, which is scanned once per code.
 
 The capability floor evaluates, for each level j and each support of
 d(A_j) blocks, the capability of the profile that puts the inner-code
 distance in each chosen block; the support choice of concrete vectors is
 immaterial because capability depends only on the profile.
 
-A small search harness enumerates named component menus, assembles each
-candidate through :func:`build_gcc`, and reports the Pareto frontiers of
+A small search harness enumerates named component menus, builds each
+level's outer menu once per symbol widths, assembles each candidate
+through :func:`build_gcc`, and reports the Pareto frontiers of
 (capability floor, dimension) and (designed distance, dimension).
 """
 
@@ -354,6 +356,9 @@ def search_constructions(space, inner_families, outer_menu, max_levels, limits=D
     """
     field = make_prime_field(space.q)
     records = []
+    # Many chain combinations share a level's widths, and codes are
+    # immutable, so each widths tuple gets one outer menu per call.
+    outer_menus = {}
     for levels in range(1, max_levels + 1):
         per_block = [
             _chain_options(field, n, inner_families, levels) for n in space.blocks
@@ -370,7 +375,9 @@ def search_constructions(space, inner_families, outer_menu, max_levels, limits=D
                 if sum(widths) == 0:
                     ok = False
                     break
-                outer_choices.append(_outer_options(field, widths, outer_menu))
+                if widths not in outer_menus:
+                    outer_menus[widths] = _outer_options(field, widths, outer_menu)
+                outer_choices.append(outer_menus[widths])
             if not ok:
                 continue
             for outer_combo in product(*outer_choices):

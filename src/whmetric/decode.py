@@ -46,7 +46,7 @@ def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities):
             raise ParameterError("symbol widths do not match the outer code")
     if any(a < 0 for a in reliabilities):
         raise ParameterError("reliabilities must be non-negative")
-    d = outer.min_block_distance()
+    d = outer._decoding_distance()
     received = tuple(x for sym in symbols for x in sym)
     # zero-width symbols carry no information and are never erased
     rank = sorted(
@@ -138,7 +138,7 @@ def gcc_decode(gcc: GccCode, received) -> DecodeReport:
             else:
                 syms.append(chain.quotient_message(j, word))
                 alpha = space.scales[l] * max(
-                    0, inner.min_distance() - 2 * hamming_distance(block, word)
+                    0, gcc.inner_distances[j][l] - 2 * hamming_distance(block, word)
                 )
                 alphas.append(alpha)
         outer_word = gmd_decode(outer, syms, alphas)

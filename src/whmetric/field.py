@@ -11,29 +11,49 @@ irreducible polynomial of the requested degree (coefficients compared
 constant term first).  The choice is arbitrary mathematically but fixing
 it keeps serialized matrices and test vectors stable across runs.
 
-Fields here are tiny (tens of elements), so elements carry no
-discrete-log tables; small add/mul tables are precomputed instead.
+Fields up to ``_TABLE_LIMIT`` elements precompute add, mul and inv
+tables, built from discrete logarithms rather than by polynomial
+arithmetic.  One primitive element g is found by raw multiplication,
+and its q^m - 1 powers (O(q^m) raw multiplies in all) give
+exp[i] = g^i and the inverse map log.  Then
+mul[a][b] = exp[(log a + log b) mod (q^m - 1)] and
+inv[a] = exp[-log a mod (q^m - 1)], one lookup per entry.  Addition is
+digit-wise, XOR when q = 2.  The tables agree entry for entry with the
+raw arithmetic, which stays as the reference and as the path for larger
+fields.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .errors import ParameterError
+from .errors import DefectError, ParameterError
 
-# Precompute add/mul tables up to this field order; larger fields fall
-# back to per-operation polynomial arithmetic.
+# Precompute add/mul/inv tables up to this field order; larger fields
+# fall back to per-operation polynomial arithmetic.
 _TABLE_LIMIT = 256
 
 
 def _check_prime(q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise ParameterError(f"field characteristic must be an integer >= 2, got {q!r}")
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            raise ParameterError(f"q={q} is not prime (divisible by {d})")
+    d = _prime_factors(q)[0]
+    if d != q:
+        raise ParameterError(f"q={q} is not prime (divisible by {d})")
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending (none for 1)."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # -- polynomial helpers over Z_q ------------------------------------------
@@ -106,10 +126,65 @@ class Field:
         self.modulus = modulus
         self._add_table = None
         self._mul_table = None
+        self._inv_table = None
         if self.order <= _TABLE_LIMIT:
-            rng = range(self.order)
-            self._add_table = [[self._add_raw(a, b) for b in rng] for a in rng]
-            self._mul_table = [[self._mul_raw(a, b) for b in rng] for a in rng]
+            self._build_tables()
+
+    def _pow_raw(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return out
+
+    def _primitive_powers(self):
+        """exp[i] = g^i for i < q^m - 1, g the smallest primitive element,
+        by raw multiplication, so building a field performs no field
+        operation.  A candidate is primitive when no g^(n/p) is 1, for
+        n = q^m - 1 and p a prime factor of n."""
+        n = self.order - 1
+        cofactors = [n // p for p in _prime_factors(n)]
+        for g in range(1, self.order):
+            if all(self._pow_raw(g, c) != 1 for c in cofactors):
+                break
+        else:
+            raise DefectError(f"{self} has no primitive element")
+        exp = [1]
+        for _ in range(n - 1):
+            exp.append(self._mul_raw(exp[-1], g))
+        if len(set(exp)) != n:
+            raise DefectError(f"the powers of the primitive element {g} of {self} repeat")
+        return exp
+
+    def _build_tables(self):
+        q, order = self.q, self.order
+        rng = range(order)
+        if q == 2:
+            add = [[a ^ b for b in rng] for a in rng]
+        else:
+            # one more base-q digit per round: the low digits come from
+            # the smaller table, the new top digit adds mod q
+            add = [[(a + b) % q for b in range(q)] for a in range(q)]
+            size = q
+            while size < order:
+                grown = range(size * q)
+                add = [
+                    [add[a % size][b % size] + size * ((a // size + b // size) % q) for b in grown]
+                    for a in grown
+                ]
+                size *= q
+        n = order - 1
+        exp = self._primitive_powers()
+        log = [0] * order
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp + exp  # exp2[i + j] = g^(i + j) for i, j < n, no reduction
+        logs = log[1:]
+        self._add_table = add
+        self._mul_table = [[0] * order] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self._inv_table = [None] + [exp[-la % n] for la in logs]
 
     # -- encoding ----------------------------------------------------
 
@@ -177,6 +252,9 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise ParameterError("zero has no multiplicative inverse")
+        if self._inv_table is not None:
+            self.validate(a)
+            return self._inv_table[a]
         return self.pow(a, self.order - 2)
 
     def div(self, a, b):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import F7, two_block_code
 from whmetric import bounds as bounds_module
+from whmetric import ratlp as ratlp_module
 from whmetric.bounds import (
     build_bound_table,
     capability_range_from_distance,
@@ -212,6 +213,28 @@ def test_lp_witness_is_checked_on_unreduced_rows(monkeypatch):
     monkeypatch.setattr(bounds_module, "solve_sweep", bogus_at(2))  # t = 4 of 6..3
     with pytest.raises(DefectError, match="Delsarte"):
         build_bound_table(SP2, 3, 6)
+
+
+@pytest.mark.parametrize("space", (SP2, SP7), ids=("q2", "q7"))
+def test_radius_zero_is_certified_without_pivots(monkeypatch, space):
+    def no_pivot(*args):
+        raise AssertionError("the simplex pivoted at t = 0")
+
+    monkeypatch.setattr(ratlp_module, "_pivot", no_pivot)
+    assert lp_bound_detail(space, 0) == (space.n, space.q**space.n)
+
+
+def test_radius_zero_witness_is_checked(monkeypatch):
+    # one profile miscounted: the whole-space enumerator no longer sums to
+    # the dual's value, so the certificate must refuse it
+    count = WeightedSpace.profile_count
+
+    def miscounted(self, profile):
+        return count(self, profile) + (tuple(profile) == (1, 0))
+
+    monkeypatch.setattr(WeightedSpace, "profile_count", miscounted)
+    with pytest.raises(DefectError):
+        lp_bound_detail(SP2, 0)
 
 
 def test_bound_table_checks_the_radius_range_before_solving(monkeypatch):

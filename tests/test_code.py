@@ -86,6 +86,20 @@ def test_min_distance_exhaustion_refusal():
         code.min_distance(Limits(max_codewords=100))
 
 
+def test_distances_readmit_their_limits_after_a_scan():
+    # the enumerator is kept on the code, but each call checks its own
+    # limits: a tighter one still refuses after a successful call
+    ham = named_code("hamming", F2, 15, 11)  # 2^11 codewords
+    poly = PolyalphabeticCode(F2, (1,) * 15, ham.generator)
+    tight, loose = Limits(max_codewords=1000), Limits(max_codewords=2048)
+    assert ham.min_distance() == poly.min_block_distance() == 3
+    with pytest.raises(ExhaustionError):
+        ham.min_distance(tight)
+    with pytest.raises(ExhaustionError):
+        poly.min_block_distance(tight)
+    assert ham.min_distance(loose) == poly.min_block_distance(loose) == 3
+
+
 def test_parity_check_consistency():
     for code in (named_code("hamming", F2, 7, 4), named_code("reed_solomon", F7, 6, 3)):
         for row in code.generator:

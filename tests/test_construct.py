@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
+from whmetric import construct as construct_module
 from whmetric.code import Limits, NestedChain, PolyalphabeticCode, named_code
 from whmetric.construct import (
     build_gcc,
@@ -168,6 +170,22 @@ def test_search_frontiers():
     assert ks == sorted(ks, reverse=True)
     d_front = pareto_frontier(records, "designed_distance")
     assert (1, 21) in d_front
+
+
+def test_search_builds_each_outer_code_once(monkeypatch):
+    # the search workload's menus: many chain combinations share a level's
+    # widths, and each widths tuple gets one outer menu per search
+    builds = Counter()
+    build = construct_module.outer_code
+
+    def counted(field, widths, family=None, k=None):
+        builds[widths, family, k] += 1
+        return build(field, widths, family, k)
+
+    monkeypatch.setattr(construct_module, "outer_code", counted)
+    space = WeightedSpace(2, (7, 7, 7), (1, 2, 3))
+    search_constructions(space, ["repetition", "parity", "full", "hamming"], ["full", "rs"], 2)
+    assert builds and set(builds.values()) == {1}
 
 
 def test_search_with_mother_outers_extends_the_frontier():

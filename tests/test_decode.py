@@ -10,7 +10,7 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
-from whmetric.code import FAIL, NestedChain, PolyalphabeticCode, named_code
+from whmetric.code import FAIL, Limits, NestedChain, PolyalphabeticCode, named_code
 from whmetric.construct import build_gcc, outer_code
 from whmetric.decode import gcc_decode, gmd_decode
 from whmetric.errors import ParameterError
@@ -201,6 +201,19 @@ def test_distance_three_outer_uses_error_trials():
     assert exact_capability(code, space) == 8
     report = exhaustive_decoder_check(gcc, 8)
     assert report.failures == 0
+
+
+def test_code_built_under_wider_limits_decodes():
+    # the outer code has 2^22 words, past the default limit: decoding
+    # works to the distances the build admitted, and does not refuse
+    space = WeightedSpace(2, (11, 11, 11), (1, 2, 3))
+    chains = [NestedChain([named_code("full", F2, 11)]) for _ in range(3)]
+    outer = outer_code(F2, (11, 11, 11), "reed_solomon", 2)
+    gcc = build_gcc(space, chains, [outer], Limits(max_codewords=1 << 23))
+    word = gcc.encode([tuple(i % 2 for i in range(22))])
+    error = (1,) + (0,) * 32
+    report = gcc_decode(gcc, tuple((a + e) % 2 for a, e in zip(word, error)))
+    assert report.ok and report.codeword == word
 
 
 def test_report_serializes_to_json():

@@ -1,7 +1,7 @@
 import pytest
 
-from whmetric.errors import ParameterError
-from whmetric.field import make_extension_field, make_prime_field
+from whmetric.errors import DefectError, ParameterError
+from whmetric.field import Field, _smallest_irreducible, make_extension_field, make_prime_field
 
 
 def test_prime_field_orders():
@@ -109,3 +109,51 @@ def test_serialized_range_checks():
         f4.contract((2, 0))
     with pytest.raises(ParameterError):
         f4.inv(0)
+
+
+def _primes_to(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+
+
+TABLED = sorted(
+    {(q, m) for q in _primes_to(64) for m in range(1, 7) if q**m <= 64} | {(2, 7), (3, 4)}
+)
+
+
+@pytest.mark.parametrize("q, m", TABLED, ids=[f"GF({q}^{m})" for q, m in TABLED])
+def test_log_built_tables_equal_raw_arithmetic(q, m):
+    field = Field(q, m, _smallest_irreducible(q, m))
+    elems = field.elements()
+    for a in elems:
+        assert field._add_table[a] == [field._add_raw(a, b) for b in elems]
+        assert field._mul_table[a] == [field._mul_raw(a, b) for b in elems]
+        if a:
+            assert field.inv(a) == field._pow_raw(a, field.order - 2)
+
+
+def test_tables_take_linearly_many_raw_multiplies(monkeypatch):
+    calls = []
+    raw = Field._mul_raw
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return raw(self, a, b)
+
+    monkeypatch.setattr(Field, "_mul_raw", counted)
+    Field(2, 8, _smallest_irreducible(2, 8))
+    assert len(calls) <= 2 * 256
+
+
+def test_a_reducible_modulus_is_a_defect():
+    # x^2 + 1 = (x + 1)^2 over F_2: x passes the order test, as 3 is
+    # prime, but x^2 = 1, so its powers repeat
+    with pytest.raises(DefectError, match="repeat"):
+        Field(2, 2, (1, 0, 1))
+
+
+def test_inverse_table_checks_its_argument():
+    f8 = make_extension_field(2, 3)
+    with pytest.raises(ParameterError):
+        f8.inv(8)
+    with pytest.raises(ParameterError):
+        f8.inv(-1)
