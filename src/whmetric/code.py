@@ -6,6 +6,16 @@ code's split weight enumerator (:func:`split_weight_enumerator`), which
 scans the code or its dual under one :class:`Limits`; a code past a limit
 raises :class:`~whmetric.errors.ExhaustionError` rather than
 approximating.
+
+The decoders solve only linear systems whose matrix is fixed by the
+code: a chain level's basis, or a generator restricted to the
+coordinates an erasure trial keeps.  :func:`_left_inverse` row-reduces
+each such matrix once into an information set and the inverse of the
+matrix on it, so a per-word solve is a lookup and two vector-matrix
+products, with a re-encoding that checks the solution.  A chain builds
+one solver per level when it is constructed.  A code builds the solver
+of a kept-coordinate set on its first e = 0 erasure trial and keeps it:
+at most sum_{s<d} C(m, s) solvers for m symbols and distance d.
 """
 
 from __future__ import annotations
@@ -72,14 +82,20 @@ def hamming_distance(u, v):
     return sum(1 for a, b in zip(u, v) if a != b)
 
 
-def _encode(field, rows, message, length):
-    """The combination sum(message[i] * rows[i]), each symbol validated."""
+def _combine(field, rows, coeffs, length):
+    """The combination sum(coeffs[i] * rows[i]) of vectors of ``length``."""
     out = (0,) * length
-    for c, row in zip(message, rows):
-        field.validate(c)
+    for c, row in zip(coeffs, rows):
         if c:
             out = vec_add(field, out, vec_scale(field, c, row))
     return out
+
+
+def _encode(field, rows, message, length):
+    """:func:`_combine` of ``message``, each symbol validated."""
+    for c in message:
+        field.validate(c)
+    return _combine(field, rows, message, length)
 
 
 def row_reduce(field, rows):
@@ -154,21 +170,25 @@ def kernel_basis(field, rows, ncols):
     return basis
 
 
-def solve_left(field, rows, target):
-    """Solve y . rows = target; returns y or None if inconsistent/ambiguous."""
-    nunk = len(rows)
-    neq = len(target)
-    aug = [[rows[j][i] for j in range(nunk)] + [target[i]] for i in range(neq)]
+def _left_inverse(field, rows, cols):
+    """A solver for y . rows = target, built once per matrix.
+
+    Row-reduces ``rows`` restricted to the coordinates ``cols``, with the
+    identity appended, so the appended columns record the row operations.
+    Returns None when the restriction has rank below len(rows).
+    Otherwise returns (info, M): ``info`` holds k of the coordinates in
+    ``cols`` on which the restricted rows are invertible, and M is the
+    inverse of that k x k submatrix.  Then y = target[info] . M is the
+    only y that can solve the system; it does when y . rows agrees with
+    ``target`` on ``cols``, which the caller checks.
+    """
+    k = len(rows)
+    width = len(cols)
+    aug = [[row[c] for c in cols] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
     rref, pivots = row_reduce(field, aug)
-    for row in rref:
-        if _leading_index(row) == nunk:
-            return None  # inconsistent
-    if len(pivots) < nunk:
-        return None  # underdetermined
-    y = [0] * nunk
-    for i, p in enumerate(pivots):
-        y[p] = rref[i][nunk]
-    return tuple(y)
+    if pivots and pivots[-1] >= width:  # the identity keeps the rank at k
+        return None
+    return tuple(cols[p] for p in pivots), tuple(row[width:] for row in rref)
 
 
 def _stream_combinations(field, rows, length):
@@ -358,6 +378,7 @@ class LinearCode:
         self._distance = None
         self._enumerators = {}
         self._syndrome_table = None
+        self._solvers = {}  # kept coordinates -> _left_inverse, for erasure_decode
 
     def __repr__(self):
         return f"LinearCode([{self.n}, {self.k}] over {self.field!r})"
@@ -453,17 +474,8 @@ class LinearCode:
         erased = set(erased)
         if any(not 0 <= p < self.n for p in erased):
             raise ParameterError(f"erased positions {sorted(erased)} out of range")
-        keep = [i for i in range(self.n) if i not in erased]
-        return _erasures_core(
-            self,
-            keep_symbols=keep,
-            n_symbols=self.n,
-            s=len(erased),
-            distance=self._decoding_distance(),
-            symbol_of=lambda v, i: v[i],
-            coords_of_symbol=lambda i: (i,),
-            received=r,
-        )
+        spans = [(i, i + 1) for i in range(self.n) if i not in erased]
+        return _erasures_core(self, spans, len(erased), self._decoding_distance(), r)
 
     # -- structure -----------------------------------------------------
 
@@ -479,28 +491,35 @@ class LinearCode:
         return all(other.contains(row) for row in self.generator)
 
 
-def _erasures_core(code, keep_symbols, n_symbols, s, distance, symbol_of, coords_of_symbol, received):
+def _erasures_core(code, spans, s, distance, received):
     """Shared errors-and-erasures logic for linear and polyalphabetic codes.
 
-    ``keep_symbols`` are the non-erased symbol indices.  When the radius
-    budget forces e = 0 the unique exact match is found by a linear
-    solve; otherwise codewords are scanned exhaustively.
+    ``spans`` are the (lo, hi) coordinate ranges of the ``s``-erasure
+    word's kept symbols.  When the radius budget forces e = 0 the unique
+    exact match comes from the kept coordinates' solver, which the code
+    builds on first use and keeps (at most one per erasure set with
+    s < d); otherwise codewords are scanned exhaustively.
     """
-    field = code.field
     if s >= distance:
         return FAIL
-    e_max = (distance - 1 - s) // 2
-    if e_max == 0:
-        cols = [c for i in keep_symbols for c in coords_of_symbol(i)]
-        rows = [tuple(row[c] for c in cols) for row in code.generator]
-        target = tuple(received[c] for c in cols)
-        msg = solve_left(field, rows, target)
-        if msg is None:
+    received = tuple(received)
+    if (distance - 1 - s) // 2 == 0:
+        cols = tuple(c for lo, hi in spans for c in range(lo, hi))
+        if cols not in code._solvers:
+            code._solvers[cols] = _left_inverse(code.field, code.generator, cols)
+        solver = code._solvers[cols]
+        if solver is None:  # the kept coordinates do not determine a codeword
             return FAIL
-        return code.encode(msg)
-    best, best_d, ties = None, n_symbols + 1, 0
+        info, inverse = solver
+        msg = _combine(code.field, inverse, [received[c] for c in info], code.k)
+        word = _combine(code.field, code.generator, msg, len(received))
+        if any(word[c] != received[c] for c in cols):
+            return FAIL
+        return word
+    kept = [received[lo:hi] for lo, hi in spans]
+    best, best_d, ties = None, len(spans) + 1, 0
     for c in code.codewords():
-        dist = sum(1 for i in keep_symbols if symbol_of(c, i) != symbol_of(received, i))
+        dist = sum(1 for (lo, hi), sym in zip(spans, kept) if c[lo:hi] != sym)
         if dist < best_d:
             best, best_d, ties = c, dist, 1
         elif dist == best_d:
@@ -543,6 +562,7 @@ class PolyalphabeticCode:
         self.k = len(keep)
         self._distance = None
         self._enumerators = {}
+        self._solvers = {}  # kept coordinates -> _left_inverse, for erasure_decode
         offsets, start = [], 0
         for s in sizes:
             offsets.append((start, start + s))
@@ -600,17 +620,8 @@ class PolyalphabeticCode:
         erased = set(erased)
         if any(not 0 <= p < self.n_symbols for p in erased):
             raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
-        keep = [i for i in range(self.n_symbols) if i not in erased]
-        return _erasures_core(
-            self,
-            keep_symbols=keep,
-            n_symbols=self.n_symbols,
-            s=len(erased),
-            distance=self._decoding_distance(),
-            symbol_of=lambda v, i: self.symbol(v, i),
-            coords_of_symbol=lambda i: range(*self._offsets[i]),
-            received=r,
-        )
+        spans = [span for i, span in enumerate(self._offsets) if i not in erased]
+        return _erasures_core(self, spans, len(erased), self._decoding_distance(), r)
 
 
 # -- nested chains ----------------------------------------------------------
@@ -659,6 +670,11 @@ class NestedChain:
         self.quotient_rows = tuple(quotient)
         self.sub_basis = tuple(sub_basis)
         self.widths = tuple(len(q) for q in quotient)
+        # per level, the solver of y . (quotient rows + sub basis) = b; the
+        # rows are a basis of the level's code, so each has full rank
+        self._solvers = tuple(
+            _left_inverse(field, top + sub, range(n)) for top, sub in zip(quotient, sub_basis)
+        )
 
     def __repr__(self):
         dims = "/".join(str(c.k) for c in self.codes)
@@ -678,15 +694,12 @@ class NestedChain:
         quotient_encode modulo the next subcode."""
         if len(b) != self.n:
             raise ParameterError(f"vector length {len(b)} != block length {self.n}")
-        rows = list(self.quotient_rows[level]) + list(self.sub_basis[level])
-        if not rows:
-            if any(b):
-                raise ParameterError(f"vector is not in chain level {level + 1}")
-            return ()
-        y = solve_left(self.field, rows, tuple(b))
-        if y is None:
+        rows = self.quotient_rows[level] + self.sub_basis[level]
+        info, inverse = self._solvers[level]
+        y = _combine(self.field, inverse, [b[c] for c in info], len(rows))
+        if _combine(self.field, rows, y, self.n) != tuple(b):
             raise ParameterError(f"vector is not in chain level {level + 1}")
-        return tuple(y[: len(self.quotient_rows[level])])
+        return y[: self.widths[level]]
 
 
 # -- code families and matrix files ----------------------------------------

@@ -11,16 +11,17 @@ irreducible polynomial of the requested degree (coefficients compared
 constant term first).  The choice is arbitrary mathematically but fixing
 it keeps serialized matrices and test vectors stable across runs.
 
-Fields up to ``_TABLE_LIMIT`` elements precompute add, mul and inv
+Fields up to ``_TABLE_LIMIT`` elements precompute add, neg, mul and inv
 tables, built from discrete logarithms rather than by polynomial
 arithmetic.  One primitive element g is found by raw multiplication,
 and its q^m - 1 powers (O(q^m) raw multiplies in all) give
 exp[i] = g^i and the inverse map log.  Then
 mul[a][b] = exp[(log a + log b) mod (q^m - 1)] and
-inv[a] = exp[-log a mod (q^m - 1)], one lookup per entry.  Addition is
-digit-wise, XOR when q = 2.  The tables agree entry for entry with the
-raw arithmetic, which stays as the reference and as the path for larger
-fields.
+inv[a] = exp[-log a mod (q^m - 1)], one lookup per entry.  Addition and
+negation are digit-wise (XOR and the identity when q = 2), and
+subtraction is one add lookup of the negated operand.  The tables agree
+entry for entry with the raw arithmetic, which stays as the reference
+and as the path for larger fields.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import product
 
 from .errors import DefectError, ParameterError
 
-# Precompute add/mul/inv tables up to this field order; larger fields
+# Precompute add/neg/mul/inv tables up to this field order; larger fields
 # fall back to per-operation polynomial arithmetic.
 _TABLE_LIMIT = 256
 
@@ -125,6 +126,7 @@ class Field:
         self.order = q**m
         self.modulus = modulus
         self._add_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         if self.order <= _TABLE_LIMIT:
@@ -183,6 +185,7 @@ class Field:
         exp2 = exp + exp  # exp2[i + j] = g^(i + j) for i, j < n, no reduction
         logs = log[1:]
         self._add_table = add
+        self._neg_table = list(rng) if q == 2 else [self._neg_raw(a) for a in rng]
         self._mul_table = [[0] * order] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self._inv_table = [None] + [exp[-la % n] for la in logs]
 
@@ -236,13 +239,20 @@ class Field:
             return self._add_table[a][b]
         return self._add_raw(a, b)
 
-    def neg(self, a):
+    def _neg_raw(self, a):
         if self.m == 1:
             return (-a) % self.q
         return self.contract(tuple((-c) % self.q for c in self.expand(a)))
 
+    def neg(self, a):
+        if self._neg_table is not None:
+            return self._neg_table[a]
+        return self._neg_raw(a)
+
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if self._add_table is not None:
+            return self._add_table[a][self._neg_table[b]]
+        return self._add_raw(a, self._neg_raw(b))
 
     def mul(self, a, b):
         if self._mul_table is not None:

@@ -1,6 +1,9 @@
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     F2,
@@ -227,3 +230,39 @@ def test_report_serializes_to_json():
     assert payload["codeword"] == list(word)
     assert len(payload["levels"]) == 1
     assert len(payload["levels"][0]["inner"]) == 2
+
+
+CONSTRUCTIONS = {
+    "two_block": two_block_code,
+    "three_block": three_block_code,
+    "two_level": two_level_code,
+    "hamming_concatenation": hamming_concatenation,
+}
+
+
+@lru_cache(maxsize=None)
+def _construction(name):
+    return CONSTRUCTIONS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_errors_within_the_floor_are_corrected(name, data):
+    space, gcc = _construction(name)
+    q, n = space.q, space.n
+    message = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=gcc.k, max_size=gcc.k)))
+    word = gcc.encode(gcc.split_message(message))
+    # fill positions in a drawn order while the weight stays within a
+    # drawn budget of at most the floor
+    budget = data.draw(st.integers(0, gcc.capability_floor))
+    order = data.draw(st.permutations(range(n)))
+    values = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    error = [0] * n
+    for p, value in zip(order, values):
+        error[p] = value
+        if space.vector_weight(error) > budget:
+            error[p] = 0
+    noisy = tuple((a + e) % q for a, e in zip(word, error))
+    report = gcc_decode(gcc, noisy)
+    assert report.ok and report.codeword == word

@@ -131,6 +131,27 @@ def test_log_built_tables_equal_raw_arithmetic(q, m):
             assert field.inv(a) == field._pow_raw(a, field.order - 2)
 
 
+NEG_SUB_FIELDS = sorted(
+    {(q, m) for q in _primes_to(64) for m in range(1, 7) if q**m <= 64} | {(2, 7)}
+)
+
+
+@pytest.mark.parametrize("q, m", NEG_SUB_FIELDS, ids=[f"GF({q}^{m})" for q, m in NEG_SUB_FIELDS])
+def test_neg_and_sub_tables_equal_raw_arithmetic(q, m):
+    field = Field(q, m, _smallest_irreducible(q, m))
+    elems = field.elements()
+
+    def digitwise(digits):
+        return field.contract(tuple(d % q for d in digits))
+
+    for a in elems:
+        da = field.expand(a)
+        assert field.neg(a) == digitwise([-x for x in da])
+        assert [field.sub(a, b) for b in elems] == [
+            digitwise([x - y for x, y in zip(da, field.expand(b))]) for b in elems
+        ]
+
+
 def test_tables_take_linearly_many_raw_multiplies(monkeypatch):
     calls = []
     raw = Field._mul_raw
