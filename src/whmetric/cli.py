@@ -73,7 +73,7 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config: {exc}") from None
     except configparser.Error as exc:
         raise ParameterError(f"config syntax error: {exc}") from None
@@ -276,11 +276,18 @@ def build_gcc_from_config(cfg: RunConfig):
 # -- output plumbing ---------------------------------------------------------
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output: {exc}") from None
+
+
 def _emit(text, args, cfg):
     path = args.out or cfg.out_path
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -329,8 +336,7 @@ def cmd_construct(args):
         )
     path = args.out or cfg.out_path
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(matrix_text)
+        _write(path, matrix_text)
         sys.stdout.write(summary)
     elif as_json:
         sys.stdout.write(summary)  # the generator is part of the payload
@@ -371,7 +377,7 @@ def cmd_decode(args):
     try:
         with open(os.path.join(cfg.base_dir, args.word_file), "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read received word: {exc}") from None
     try:
         word = tuple(int(tok) for tok in tokens)

@@ -821,8 +821,12 @@ def parse_matrix_text(text):
 
 
 def load_matrix_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read matrix file: {exc}") from None
+    return parse_matrix_text(text)
 
 
 def format_matrix(code: LinearCode) -> str:

@@ -6,15 +6,19 @@ feasible solution (every slack basic), so there is no phase 1 and a
 program is either optimal or unbounded.
 
 A primal simplex on a dense condensed tableau (one row per basic and
-one column per nonbasic variable), pivoted fraction-free: the tableau
-is one integer matrix over one positive common denominator (Edmonds'
-integer pivoting, the simplex form of Bareiss elimination), so each
-update is an exact integer division and no rational is reduced inside
-the pivot loop.  Each input row is divided once, at set-up, by the gcd
-of its coefficients and right-hand side, which keeps the integers
-small.  Pivots follow Dantzig's rule for speed and switch to Bland's
-rule whenever the objective stalls on degenerate pivots, so termination
-stays guaranteed.
+one column per nonbasic variable), in exact rationals kept in lowest
+terms: each row is an integer vector over its own positive denominator,
+and a pivot divides every row it changes by the gcd of its denominator
+and entries.  A row whose pivot-column entry is zero is left untouched.
+The rationals of the bound LPs have small denominators, while the basis
+minors a single common denominator would carry (Edmonds' integer
+pivoting, the simplex form of Bareiss elimination) share a large power
+of q; lowest terms keep the integers at the size of the answer.  Each
+input row is divided once, at set-up, by the gcd of its coefficients
+and right-hand side.  Pivots follow Dantzig's rule for speed and switch
+to Bland's rule whenever the objective stalls on degenerate pivots, so
+termination stays guaranteed.  Both rules, and the ratio test, compare
+entries of one row, so the denominators never enter a pivot choice.
 
 One program can also be solved as a sweep (:func:`solve_sweep`): a
 sequence of stages, each keeping more of its columns and fixing the
@@ -29,7 +33,7 @@ constraint, which proves the optimum is at least the returned value.
 The dual multipliers, read from the final objective row, are checked
 to satisfy the dual constraints with the same objective value, which
 proves it is at most that value.  Both checks run in integers over one
-common denominator.
+common denominator, the lcm of the row denominators.
 
 Instances here are small (a few hundred variables), which is why the
 dense tableau is acceptable.
@@ -86,47 +90,54 @@ class LpResult:
     dual: list = None  # one multiplier per input row, each >= 0
 
 
-def _pivot(tableau, den, pr, pc):
+def _lowest_terms(row, den):
+    """Divide ``row`` in place and ``den`` by their gcd; return the new den."""
+    g = gcd(den, *row)
+    if g > 1:
+        row[:] = [a // g for a in row]
+    return den // g
+
+
+def _pivot(tableau, dens, pr, pc):
     """Exchange the basic variable of row ``pr`` with the nonbasic one of
     column ``pc``, in every row (objective row included).
 
-    Entries are the rational tableau times ``den``; returns the new
-    common denominator, the pivot entry, which the ratio test keeps
-    positive.  The division is exact because every entry is a minor of
-    the scaled input (Bareiss).  Rows are mutated in place so
-    outstanding references stay valid.
+    Row i is the rational vector ``tableau[i] / dens[i]``, in lowest
+    terms; the pivot entry is positive (the ratio test keeps it so).  A
+    row with a zero in the pivot column is unchanged; every other row,
+    the pivot row included, gets a new denominator and is reduced to
+    lowest terms again.  Rows are mutated in place so outstanding
+    references stay valid.
     """
     prow = tableau[pr]
-    p = prow[pc]
+    p, dr = prow[pc], dens[pr]
     for i, row in enumerate(tableau):
-        if i == pr:
-            continue
         g = row[pc]
-        if g:
-            row[:] = [(p * a - g * b) // den for a, b in zip(row, prow)]
-            row[pc] = -g
-        elif p != den:
-            row[:] = [p * a // den for a in row]
-    prow[pc] = den
-    return p
+        if i == pr or not g:
+            continue
+        row[:] = [p * a - g * b for a, b in zip(row, prow)]
+        row[pc] = -g * dr
+        dens[i] = _lowest_terms(row, dens[i] * p)
+    prow[pc] = dr
+    dens[pr] = _lowest_terms(prow, p)
 
 
 _STALL_LIMIT = 32
 
 
-def _simplex(tableau, basic, nonbasic, den):
+def _simplex(tableau, dens, basic, nonbasic):
     """Continue the primal simplex from the basic feasible ``tableau``.
 
     ``tableau`` has one row per basic variable (``basic[i]``) and one
-    column per nonbasic variable (``nonbasic[j]``), then the rhs, all
-    over the positive common denominator ``den``; the last row is the
+    column per nonbasic variable (``nonbasic[j]``), then the rhs, row i
+    over the positive denominator ``dens[i]``; the last row is the
     objective row (reduced costs, then the objective value), and every
-    row is updated in place.  Pivots use Dantzig's rule (most negative
-    reduced cost) for speed, falling back to Bland's rule while the
-    objective is stalled on degenerate pivots, which keeps the
+    row and denominator is updated in place.  Pivots use Dantzig's rule
+    (most negative reduced cost) for speed, falling back to Bland's rule
+    while the objective is stalled on degenerate pivots, which keeps the
     termination guarantee; ties go to the lowest variable.  Ratios are
-    compared by cross-multiplying.  Returns ("optimal" or "unbounded",
-    den).
+    compared by cross-multiplying within each row, where the row's
+    denominator cancels.  Returns "optimal" or "unbounded".
     """
     body = tableau[:-1]
     obj = tableau[-1]
@@ -134,7 +145,7 @@ def _simplex(tableau, basic, nonbasic, den):
     while True:
         candidates = [(v, j) for j, v in enumerate(nonbasic) if obj[j] < 0]
         if not candidates:
-            return "optimal", den
+            return "optimal"
         if stalled >= _STALL_LIMIT:
             enter = min(candidates)[1]
         else:
@@ -150,8 +161,8 @@ def _simplex(tableau, basic, nonbasic, den):
                 if lhs < rhs or (lhs == rhs and basic[i] < basic[leave]):
                     leave, num, div = i, row[-1], a
         if leave is None:
-            return "unbounded", den
-        den = _pivot(tableau, den, leave, enter)
+            return "unbounded"
+        _pivot(tableau, dens, leave, enter)
         basic[leave], nonbasic[enter] = nonbasic[enter], basic[leave]
         if num == 0:
             stalled += 1
@@ -159,16 +170,17 @@ def _simplex(tableau, basic, nonbasic, den):
             stalled = 0
 
 
-def _unlock(tableau, basic, nonbasic, den, scaled, objective, columns):
+def _unlock(tableau, dens, basic, nonbasic, scaled, objective, columns):
     """Append the structural ``columns`` to the tableau as nonbasic columns.
 
-    A column a of the scaled rows enters as den * B^-1 a.  The tableau
-    already holds den * B^-1 e_i for every row i: it is slack i's column
-    while that slack is nonbasic, and den times the unit vector of the
-    row where it is basic.  The objective entry is the reduced cost, the
-    same combination of the objective row less den times the cost.  The
-    entries are the minors the column would hold had it been there from
-    the start, so later pivots still divide exactly.
+    A column a of the scaled rows enters as B^-1 a.  The tableau already
+    holds B^-1 e_i for every row i: it is slack i's column while that
+    slack is nonbasic, and the unit vector of the row where it is basic.
+    So row r's new numerator is that combination of its own entries,
+    plus ``dens[r]`` times a's entry for the row's basic slack, over the
+    row's own denominator.  The objective entry is the reduced cost, the
+    same combination of the objective row less its denominator times the
+    cost.  A row in lowest terms stays so with one more entry.
     """
     nvars = len(objective)
     slacks = [(j, v - nvars) for j, v in enumerate(nonbasic) if v >= nvars]
@@ -177,9 +189,9 @@ def _unlock(tableau, basic, nonbasic, den, scaled, objective, columns):
         for r, row in enumerate(tableau):
             entry = sum([row[j] * a for j, a in terms])
             if r == len(basic):
-                entry -= objective[c] * den
+                entry -= objective[c] * dens[r]
             elif basic[r] >= nvars:
-                entry += den * scaled[basic[r] - nvars][c]
+                entry += dens[r] * scaled[basic[r] - nvars][c]
             row.insert(-1, entry)
         nonbasic.append(c)
 
@@ -212,7 +224,7 @@ def solve_sweep(lp: LinearProgram, stages):
     # start basic (the origin); structurals join as columns when unlocked.
     basic = list(range(nvars, nvars + nrows))
     nonbasic = []
-    den = 1
+    dens = [1] * (nrows + 1)
     unlocked = set()
     for stage in stages:
         stage = list(stage)
@@ -221,34 +233,37 @@ def solve_sweep(lp: LinearProgram, stages):
         if not unlocked <= set(stage):
             raise ParameterError("each stage must keep every column of the one before")
         new = [c for c in stage if c not in unlocked]
-        _unlock(tableau, basic, nonbasic, den, scaled, lp.objective, new)
+        _unlock(tableau, dens, basic, nonbasic, scaled, lp.objective, new)
         unlocked.update(stage)
         own = LinearProgram(
             objective=[lp.objective[c] for c in stage],
             rows=[([coeffs[c] for c in stage], rhs) for coeffs, rhs in lp.rows],
         )
-        status, den = _simplex(tableau, basic, nonbasic, den)
-        if status == "unbounded":
+        if _simplex(tableau, dens, basic, nonbasic) == "unbounded":
             yield LpResult(status="unbounded")
             continue
 
-        # Put the witness and the multipliers over one denominator den * L.
+        # Put the witness and the multipliers over one denominator D * L,
+        # D the lcm of the row denominators.
+        den = lcm(*dens)
         position = {c: n for n, c in enumerate(stage)}
         x = [0] * len(stage)
         for i, bv in enumerate(basic):
             if bv < nvars:
-                x[position[bv]] = tableau[i][-1] * scale
+                x[position[bv]] = tableau[i][-1] * (den // dens[i]) * scale
         # a row's multiplier is the reduced cost of its slack (0 while basic)
         y = [0] * nrows
+        lift = den // dens[-1]
         for j, v in enumerate(nonbasic):
             if v >= nvars:
-                y[v - nvars] = tableau[-1][j] * (scale // gcds[v - nvars])
-        _verify(own, x, y, den * scale)
+                y[v - nvars] = tableau[-1][j] * lift * (scale // gcds[v - nvars])
+        den *= scale
+        _verify(own, x, y, den)
         yield LpResult(
             status="optimal",
-            value=Fraction(sum(c * xj for c, xj in zip(own.objective, x)), den * scale),
-            solution=[Fraction(xj, den * scale) for xj in x],
-            dual=[Fraction(yi, den * scale) for yi in y],
+            value=Fraction(sum(c * xj for c, xj in zip(own.objective, x)), den),
+            solution=[Fraction(xj, den) for xj in x],
+            dual=[Fraction(yi, den) for yi in y],
         )
 
 

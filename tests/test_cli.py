@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from whmetric import cli
 from whmetric.cli import main
@@ -375,3 +379,100 @@ def test_unexpected_errors_exit_4(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, "space.cfg", SPACE_33)
     assert main(["bounds", "--config", cfg, "--t-max", "1"]) == 4
     assert capsys.readouterr().err == "internal defect: ZeroDivisionError: boom\n"
+
+
+# -- unreadable and unwritable files exit 2 ------------------------------------
+
+NOT_UTF8 = b"2 6 1\n\xff\xfe 1 1\n"
+
+
+def test_analyze_missing_generator_file_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "two.cfg", TWO_BLOCK)
+    assert main(["analyze", "--config", cfg, str(tmp_path / "nope.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read matrix file: ")
+
+
+@pytest.mark.parametrize(
+    "spec, missing",
+    (("repetition:3", "file:nope.txt"), ("outer.1 = full", "outer.1 = file:nope.txt")),
+    ids=("chain", "outer"),
+)
+def test_missing_matrix_file_in_a_spec_exits_2(tmp_path, capsys, spec, missing):
+    cfg = write(tmp_path, "file.cfg", TWO_BLOCK.replace(spec, missing))
+    assert main(["construct", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read matrix file: ")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(SPACE_33.encode() + b"# \xff\n")
+    assert main(["bounds", "--config", str(cfg), "--t-max", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+
+
+def test_received_word_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "two.cfg", TWO_BLOCK)
+    word = tmp_path / "word.txt"
+    word.write_bytes(b"1 1 1 0 0 \xff\n")
+    assert main(["decode", "--config", cfg, str(word)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read received word: ")
+
+
+def test_matrix_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "two.cfg", TWO_BLOCK)
+    gen = tmp_path / "gen.txt"
+    gen.write_bytes(NOT_UTF8)
+    assert main(["analyze", "--config", cfg, str(gen)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read matrix file: ")
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    dest = str(tmp_path / "no-such-dir" / "out.txt")
+    cfg = write(tmp_path, "two.cfg", TWO_BLOCK)
+    for argv in (
+        ["bounds", "--config", cfg, "--t-max", "1", "--out", dest],
+        ["construct", "--config", cfg, "--out", dest],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+
+
+# -- the exit-code contract on arbitrary input files ---------------------------
+
+
+@pytest.fixture(scope="module")
+def two_block_dir(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("contract")
+    write(tmp_path, "two.cfg", TWO_BLOCK)
+    return tmp_path
+
+
+def _check_exit_contract(directory, data, argv):
+    """Run ``argv`` on a file holding ``data``: only exits 0, 2 and 3 are promised."""
+    path = directory / "input.bin"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--config", str(directory / "two.cfg"), str(path)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.binary(max_size=64))
+@example(data=NOT_UTF8)
+@example(data=b"2 6 1\n1 1 1 0 0 1\n")
+@example(data=b"")
+def test_any_generator_file_exits_0_2_or_3(two_block_dir, data):
+    _check_exit_contract(two_block_dir, data, ["analyze"])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.binary(max_size=64))
+@example(data=b"1 0 1 0 0 1\n")
+@example(data=b"1 1 1 0 0 \xff\n")
+@example(data=b"1 1 1\n")
+def test_any_received_word_exits_0_2_or_3(two_block_dir, data):
+    _check_exit_contract(two_block_dir, data, ["decode"])

@@ -1,13 +1,34 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from whmetric import ratlp
+from whmetric.bounds import build_bound_table
 from whmetric.errors import DefectError, ParameterError
+from whmetric.metric import WeightedSpace
 from whmetric.ratlp import LinearProgram, solve_max, solve_sweep
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Count ``ratlp._pivot`` calls, checking after each one that every
+    tableau row is in lowest terms over a positive denominator."""
+    calls = []
+    pivot = ratlp._pivot
+
+    def checked(tableau, dens, pr, pc):
+        pivot(tableau, dens, pr, pc)
+        calls.append((pr, pc))
+        assert len(dens) == len(tableau)
+        for row, den in zip(tableau, dens):
+            assert den > 0
+            assert gcd(den, *row) == 1
+
+    monkeypatch.setattr(ratlp, "_pivot", checked)
+    return calls
 
 
 def test_single_variable_box():
@@ -123,7 +144,7 @@ def _vertex_optimum(objective, le_rows):
     return best
 
 
-def test_random_small_programs_match_vertex_enumeration():
+def test_random_small_programs_match_vertex_enumeration(pivots):
     rng = random.Random(424242)
     for case in range(200):
         nvars = rng.choice((2, 3))
@@ -141,6 +162,7 @@ def test_random_small_programs_match_vertex_enumeration():
         res = solve_max(LinearProgram(objective=objective, rows=le_rows))
         assert res.status == "optimal", f"case {case}"
         assert res.value == _vertex_optimum(objective, le_rows), f"case {case}"
+    assert pivots
 
 
 # -- dual certificate ----------------------------------------------------------
@@ -185,7 +207,7 @@ def _restricted(lp, stage):
     )
 
 
-def test_sweep_stages_match_cold_solves():
+def test_sweep_stages_match_cold_solves(pivots):
     rng = random.Random(717171)
     for case in range(150):
         nvars = rng.randint(2, 7)
@@ -204,6 +226,7 @@ def test_sweep_stages_match_cold_solves():
             assert res.status == cold.status == "optimal", f"case {case}"
             assert res.value == cold.value, f"case {case}, stage {stage}"
             ratlp._verify(own, *_certificate(res.solution, res.dual))
+    assert pivots
 
 
 def test_sweep_reports_each_unbounded_stage():
@@ -217,3 +240,20 @@ def test_sweep_cannot_lock_a_column():
         list(solve_sweep(lp, [[0, 1], [1]]))
     with pytest.raises(ParameterError, match="distinct columns"):
         list(solve_sweep(lp, [[0, 0]]))
+
+
+# -- the tableau in lowest terms on the bound LPs ------------------------------
+
+
+def test_bound_sweep_keeps_rows_in_lowest_terms(pivots):
+    build_bound_table(WeightedSpace(2, (4, 4), (1, 2)), 0, 8)
+    assert len(pivots) > 10
+
+
+@pytest.mark.parametrize("q, count", ((2, 606), (7, 106)), ids=("q2", "q7"))
+def test_bound_table_pivot_path(pivots, q, count):
+    # the same counts as a tableau over one common denominator: every
+    # pivot choice compares entries within one row, where the row's
+    # denominator cancels
+    build_bound_table(WeightedSpace(q, (7, 7), (1, 2)), 0, 10)
+    assert len(pivots) == count
