@@ -11,11 +11,18 @@ The decoders solve only linear systems whose matrix is fixed by the
 code: a chain level's basis, or a generator restricted to the
 coordinates an erasure trial keeps.  :func:`_left_inverse` row-reduces
 each such matrix once into an information set and the inverse of the
-matrix on it, so a per-word solve is a lookup and two vector-matrix
-products, with a re-encoding that checks the solution.  A chain builds
-one solver per level when it is constructed.  A code builds the solver
-of a kept-coordinate set on its first e = 0 erasure trial and keeps it:
-at most sum_{s<d} C(m, s) solvers for m symbols and distance d.
+matrix on it.  A chain builds one solver per level when it is
+constructed, and a per-word solve is two vector-matrix products with a
+re-encoding that checks the solution.  A code builds a
+:class:`_KeptSet` for a kept-coordinate set on its first erasure trial
+with that set and keeps it: at most sum_{s<d} C(m, s) for m symbols
+and distance d.  It stores the product of the inverse and the
+generator, so re-encoding a word from its information set is one
+product, and the word's difference from that re-encoding is its
+syndrome.  A trial that allows e >= 1 errors looks the syndrome up in
+the set's table of error patterns, built on the first such trial,
+instead of scanning the codewords; only a set whose patterns would
+outnumber the codewords keeps the scan.
 """
 
 from __future__ import annotations
@@ -149,8 +156,8 @@ def independent_rows(field, rows):
         lead = _leading_index(red)
         if lead is None:
             continue
-        norm = tuple(field.mul(field.inv(red[lead]), x) for x in red)
-        elim[lead] = norm
+        inv = field.inv(red[lead])
+        elim[lead] = tuple([field.mul(inv, x) for x in red])
         keep.append(tuple(row))
     return keep
 
@@ -378,7 +385,8 @@ class LinearCode:
         self._distance = None
         self._enumerators = {}
         self._syndrome_table = None
-        self._solvers = {}  # kept coordinates -> _left_inverse, for erasure_decode
+        self._solvers = {}  # kept coordinates -> _KeptSet, for erasure_decode
+        self._offsets = tuple((i, i + 1) for i in range(n))  # one symbol per coordinate
 
     def __repr__(self):
         return f"LinearCode([{self.n}, {self.k}] over {self.field!r})"
@@ -474,8 +482,7 @@ class LinearCode:
         erased = set(erased)
         if any(not 0 <= p < self.n for p in erased):
             raise ParameterError(f"erased positions {sorted(erased)} out of range")
-        spans = [(i, i + 1) for i in range(self.n) if i not in erased]
-        return _erasures_core(self, spans, len(erased), self._decoding_distance(), r)
+        return _erasures_core(self, erased, self._decoding_distance(), r)
 
     # -- structure -----------------------------------------------------
 
@@ -491,35 +498,110 @@ class LinearCode:
         return all(other.contains(row) for row in self.generator)
 
 
-def _erasures_core(code, spans, s, distance, received):
-    """Shared errors-and-erasures logic for linear and polyalphabetic codes.
+class _KeptSet:
+    """What every erasure trial keeping one coordinate set reuses.
 
-    ``spans`` are the (lo, hi) coordinate ranges of the ``s``-erasure
-    word's kept symbols.  When the radius budget forces e = 0 the unique
-    exact match comes from the kept coordinates' solver, which the code
-    builds on first use and keeps (at most one per erasure set with
-    s < d); otherwise codewords are scanned exhaustively.
+    ``info`` is an information set inside the kept coordinates and
+    ``rows`` the k rows of M . G, for G the generator and M the inverse
+    of G on ``info``, so a word w re-encodes as w[info] . rows in one
+    product.  On the other kept coordinates, ``rest``, w minus its
+    re-encoding is w's syndrome in systematic form: it is linear in w and
+    zero exactly when w agrees with a codeword on every kept coordinate.
+
+    ``table`` maps the syndrome of each error pattern with at most
+    ``radius`` nonzero kept symbols to (that number, the pattern's
+    re-encoding).  It is built on the first trial that allows errors;
+    until then ``radius`` is None.  A set whose patterns outnumber the
+    code's words keeps the codeword scan instead, with ``table`` None.
     """
-    if s >= distance:
-        return FAIL
-    received = tuple(received)
-    if (distance - 1 - s) // 2 == 0:
-        cols = tuple(c for lo, hi in spans for c in range(lo, hi))
-        if cols not in code._solvers:
-            code._solvers[cols] = _left_inverse(code.field, code.generator, cols)
-        solver = code._solvers[cols]
-        if solver is None:  # the kept coordinates do not determine a codeword
-            return FAIL
-        info, inverse = solver
-        msg = _combine(code.field, inverse, [received[c] for c in info], code.k)
-        word = _combine(code.field, code.generator, msg, len(received))
-        if any(word[c] != received[c] for c in cols):
-            return FAIL
-        return word
-    kept = [received[lo:hi] for lo, hi in spans]
-    best, best_d, ties = None, len(spans) + 1, 0
+
+    __slots__ = ("info", "rows", "rest", "radius", "table")
+
+    def __init__(self, info, rows, rest):
+        self.info = info
+        self.rows = rows
+        self.rest = rest
+        self.radius = None
+        self.table = None
+
+    def encode(self, field, word):
+        """The codeword that agrees with ``word`` on ``info``."""
+        return _combine(field, self.rows, [word[c] for c in self.info], len(word))
+
+    def syndrome(self, field, word, image):
+        """``word`` minus its re-encoding ``image``, on ``rest``."""
+        return tuple([field.sub(word[c], image[c]) for c in self.rest])
+
+
+def _kept_set(code, cols):
+    """The :class:`_KeptSet` of ``cols``, or None when the generator
+    restricted to them has rank below k."""
+    solver = _left_inverse(code.field, code.generator, cols)
+    if solver is None:
+        return None
+    info, inverse = solver
+    n = len(code.generator[0])
+    rows = tuple(_combine(code.field, code.generator, m, n) for m in inverse)
+    in_info = set(info)
+    return _KeptSet(info, rows, tuple(c for c in cols if c not in in_info))
+
+
+def _pattern_count(q, widths, radius):
+    """The number of words with at most ``radius`` nonzero symbols over
+    symbols of the given widths: the coefficients of x^0..x^radius in
+    prod_i (1 + (q^b_i - 1) x)."""
+    coeffs = [1] + [0] * radius
+    for b in widths:
+        for w in range(radius, 0, -1):
+            coeffs[w] += coeffs[w - 1] * (q**b - 1)
+    return sum(coeffs)
+
+
+def _build_error_table(code, entry, kept, radius):
+    """Fill ``entry``'s table for the error patterns on the ``kept``
+    symbols with at most ``radius`` nonzero symbols, or leave it None
+    when those patterns outnumber the code's q^k words.
+
+    ``radius`` is at most (d_K - 1) // 2 for the distance d_K of the
+    code punctured to the kept symbols, so no two patterns share a
+    syndrome; one that did is a defect.
+    """
+    field = code.field
+    q = field.order
+    kept = [(lo, hi) for lo, hi in kept if hi > lo]
+    entry.radius = radius
+    if _pattern_count(q, [hi - lo for lo, hi in kept], radius) > q**code.k:
+        return
+    n = len(code.generator[0])
+    values = {}  # symbol width -> its nonzero values
+    for lo, hi in kept:
+        if hi - lo not in values:
+            values[hi - lo] = [v for v in product(range(q), repeat=hi - lo) if any(v)]
+    table = {}
+    for w in range(radius + 1):
+        for chosen in combinations(kept, w):
+            for parts in product(*(values[hi - lo] for lo, hi in chosen)):
+                error = [0] * n
+                for (lo, hi), part in zip(chosen, parts):
+                    error[lo:hi] = part
+                image = entry.encode(field, error)
+                syndrome = entry.syndrome(field, error, image)
+                if syndrome in table:
+                    raise DefectError(
+                        f"two error patterns of at most {radius} symbols share a syndrome"
+                    )
+                table[syndrome] = (w, image)
+    entry.table = table
+
+
+def _nearest_by_scan(code, kept, s, distance, received):
+    """The codeword nearest ``received`` on the ``kept`` symbols, found
+    by scanning every codeword: FAIL unless it is the only nearest one
+    and 2 * (its distance) + s < d."""
+    symbols = [received[lo:hi] for lo, hi in kept]
+    best, best_d, ties = None, len(kept) + 1, 0
     for c in code.codewords():
-        dist = sum(1 for (lo, hi), sym in zip(spans, kept) if c[lo:hi] != sym)
+        dist = sum(1 for (lo, hi), sym in zip(kept, symbols) if c[lo:hi] != sym)
         if dist < best_d:
             best, best_d, ties = c, dist, 1
         elif dist == best_d:
@@ -527,6 +609,52 @@ def _erasures_core(code, spans, s, distance, received):
     if best is not None and 2 * best_d + s < distance and ties == 1:
         return best
     return FAIL
+
+
+def _erasures_core(code, erased, distance, received):
+    """Shared errors-and-erasures logic for linear and polyalphabetic codes.
+
+    ``erased`` is a set of symbol indices into ``code._offsets``; s of
+    them leave a budget of e = (d - 1 - s) // 2 errors on the kept
+    symbols.  The kept coordinates' :class:`_KeptSet` is built on first
+    use and kept in ``code._solvers``, one per kept-coordinate set.  When
+    e = 0 the answer is the re-encoding of the received word, if its
+    syndrome is zero.  Otherwise the syndrome's entry in the set's error
+    table gives the error's re-encoding to subtract.  The table holds
+    every pattern within the radius the set's nonzero-width erasures
+    allow; any two codewords differ in more than twice that many kept
+    symbols, so the word it finds within e is the scan's unique nearest
+    one.  A set whose table would outnumber the codewords scans them.
+    A kept set of rank below k matches every word to several codewords,
+    so it always fails, as the scan's tie rule does.
+    """
+    s = len(erased)
+    if s >= distance:
+        return FAIL
+    received = tuple(received)
+    kept = [span for i, span in enumerate(code._offsets) if i not in erased]
+    cols = tuple(c for lo, hi in kept for c in range(lo, hi))
+    if cols not in code._solvers:
+        code._solvers[cols] = _kept_set(code, cols)
+    entry = code._solvers[cols]
+    if entry is None:
+        return FAIL
+    field = code.field
+    word = entry.encode(field, received)
+    e = (distance - 1 - s) // 2
+    if e == 0:
+        if any(word[c] != received[c] for c in entry.rest):
+            return FAIL
+        return word
+    if entry.radius is None:
+        nonempty = sum(1 for i in erased if code._offsets[i][1] > code._offsets[i][0])
+        _build_error_table(code, entry, kept, (distance - 1 - nonempty) // 2)
+    if entry.table is None:
+        return _nearest_by_scan(code, kept, s, distance, received)
+    found = entry.table.get(entry.syndrome(field, received, word))
+    if found is None or found[0] > e:
+        return FAIL
+    return vec_sub(field, word, found[1])
 
 
 # -- polyalphabetic codes ---------------------------------------------------
@@ -562,7 +690,7 @@ class PolyalphabeticCode:
         self.k = len(keep)
         self._distance = None
         self._enumerators = {}
-        self._solvers = {}  # kept coordinates -> _left_inverse, for erasure_decode
+        self._solvers = {}  # kept coordinates -> _KeptSet, for erasure_decode
         offsets, start = [], 0
         for s in sizes:
             offsets.append((start, start + s))
@@ -620,8 +748,7 @@ class PolyalphabeticCode:
         erased = set(erased)
         if any(not 0 <= p < self.n_symbols for p in erased):
             raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
-        spans = [span for i, span in enumerate(self._offsets) if i not in erased]
-        return _erasures_core(self, spans, len(erased), self._decoding_distance(), r)
+        return _erasures_core(self, erased, self._decoding_distance(), r)
 
 
 # -- nested chains ----------------------------------------------------------
@@ -662,7 +789,8 @@ class NestedChain:
                 lead = _leading_index(red)
                 if lead is None:
                     continue
-                norm = tuple(field.mul(field.inv(red[lead]), x) for x in red)
+                inv = field.inv(red[lead])
+                norm = tuple([field.mul(inv, x) for x in red])
                 elim[lead] = norm
                 q_rows.append(norm)
             quotient.append(tuple(q_rows))

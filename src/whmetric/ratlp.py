@@ -235,10 +235,6 @@ def solve_sweep(lp: LinearProgram, stages):
         new = [c for c in stage if c not in unlocked]
         _unlock(tableau, dens, basic, nonbasic, scaled, lp.objective, new)
         unlocked.update(stage)
-        own = LinearProgram(
-            objective=[lp.objective[c] for c in stage],
-            rows=[([coeffs[c] for c in stage], rhs) for coeffs, rhs in lp.rows],
-        )
         if _simplex(tableau, dens, basic, nonbasic) == "unbounded":
             yield LpResult(status="unbounded")
             continue
@@ -258,10 +254,10 @@ def solve_sweep(lp: LinearProgram, stages):
             if v >= nvars:
                 y[v - nvars] = tableau[-1][j] * lift * (scale // gcds[v - nvars])
         den *= scale
-        _verify(own, x, y, den)
+        _verify(lp, x, y, den, stage)
         yield LpResult(
             status="optimal",
-            value=Fraction(sum(c * xj for c, xj in zip(own.objective, x)), den),
+            value=Fraction(sum(lp.objective[c] * xj for c, xj in zip(stage, x)), den),
             solution=[Fraction(xj, den) for xj in x],
             dual=[Fraction(yi, den) for yi in y],
         )
@@ -272,30 +268,37 @@ def solve_max(lp: LinearProgram) -> LpResult:
     return next(solve_sweep(lp, [range(len(lp.objective))]))
 
 
-def _verify(lp, x, y, den):
+def _verify(lp, x, y, den, columns=None):
     """Certify ``x / den`` as an optimum of ``lp`` by the dual ``y / den``.
 
     ``x`` and ``y`` are integer numerators over the positive ``den``.
+    ``columns`` (default: all) restricts ``lp`` to those columns, the
+    others fixed at zero, with one ``x`` entry per column in that order;
+    the restriction is read from ``lp``'s rows in place, not rebuilt.
     The witness must be feasible, and the multipliers feasible for the
     dual program with the same objective: weak duality then bounds
     every feasible point by the witness's value.
     """
+    if columns is None:
+        columns = range(len(lp.objective))
     if den <= 0:
         raise DefectError("certificate denominator must be positive")
+    if len(x) != len(columns):
+        raise DefectError("witness needs one value per column")
     if any(xj < 0 for xj in x):
         raise DefectError("witness violates nonnegativity")
-    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    support = [(c, xj) for c, xj in zip(columns, x) if xj]
     for coeffs, rhs in lp.rows:
-        if sum(coeffs[j] * xj for j, xj in support) > rhs * den:
+        if sum(coeffs[c] * xj for c, xj in support) > rhs * den:
             raise DefectError("witness violates a constraint after solving")
     if len(y) != len(lp.rows):
         raise DefectError("dual certificate needs one multiplier per row")
     if any(yi < 0 for yi in y):
         raise DefectError("dual multiplier has the wrong sign for its row")
     used = [(coeffs, yi) for (coeffs, _), yi in zip(lp.rows, y) if yi]
-    for j, c in enumerate(lp.objective):
-        if sum(yi * coeffs[j] for coeffs, yi in used) < c * den:
+    for c in columns:
+        if sum(yi * coeffs[c] for coeffs, yi in used) < lp.objective[c] * den:
             raise DefectError("dual multipliers violate a dual constraint")
-    primal = sum(c * xj for c, xj in zip(lp.objective, x))
+    primal = sum(lp.objective[c] * xj for c, xj in zip(columns, x))
     if sum(yi * rhs for (_, rhs), yi in zip(lp.rows, y)) != primal:
         raise DefectError("dual objective differs from the primal optimum")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -476,3 +477,116 @@ def test_any_generator_file_exits_0_2_or_3(two_block_dir, data):
 @example(data=b"1 1 1\n")
 def test_any_received_word_exits_0_2_or_3(two_block_dir, data):
     _check_exit_contract(two_block_dir, data, ["decode"])
+
+
+# -- the exit-code contract on arbitrary config text and code specs ------------
+
+GENERATOR_6_1 = "2 6 1\n1 1 1 1 1 1\n"
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("configs")
+    write(tmp_path, "gen.txt", GENERATOR_6_1)
+    return tmp_path
+
+
+def _config_exits(directory, text, argv):
+    """Run ``argv --config`` on a config holding ``text``, from inside
+    ``directory`` so that any output path it names lands there."""
+    path = directory / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([argv[0], "--config", str(path)] + argv[1:])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_SMALL = st.integers(-2, 9).map(str)
+_INT_LIST = st.lists(_SMALL, min_size=1, max_size=3).map(",".join)
+_FAMILIES = st.sampled_from(
+    ("repetition", "parity", "full", "hamming", "rs", "reed_solomon", "rows", "file", "mother")
+)
+_SPEC_PARTS = st.one_of(_FAMILIES, _SMALL, st.sampled_from(("101", "1,1,0|0,1,1")), _TEXT)
+_SPECS = st.one_of(  # a family head and arbitrary parts, or arbitrary parts alone
+    st.tuples(_FAMILIES, st.lists(_SPEC_PARTS, max_size=3)).map(lambda h: ":".join([h[0]] + h[1])),
+    st.lists(_SPEC_PARTS, min_size=1, max_size=4).map(":".join),
+)
+
+
+def _assignments(keys, values):
+    return st.tuples(st.sampled_from(keys), values).map(" = ".join)
+
+
+_CONFIG_LINES = st.one_of(
+    st.sampled_from(("[space]", "[gcc]", "[limits]", "[output]", "[search]", "[bogus]", "")),
+    st.sampled_from(("q = 2", "q = 3", "blocks = 3,3", "lambda = 1,2", "levels = 1", "levels = 2")),
+    _assignments(("q", "blocks", "lambda", "levels", "format"), _INT_LIST),
+    _assignments(("chain.1", "chain.2", "outer.1", "outer.2", "inner", "outer"), _SPECS),
+    _assignments(("max_codewords", "max_ambient"), _SMALL),
+    _TEXT,
+)
+_CONFIGS = st.one_of(_TEXT, st.lists(_CONFIG_LINES, max_size=14).map("\n".join))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(text=_CONFIGS)
+@example(text=TWO_BLOCK)
+@example(text=TWO_BLOCK.replace("[gcc]", "[space]"))  # a repeated section
+@example(text=TWO_BLOCK.replace("q = 2", "q = 2\nq = 3"))  # a repeated key
+@example(text=TWO_BLOCK.replace("lambda = 1,2", "lambda = 2,1"))
+@example(text=TWO_BLOCK.replace("q = 2", "q = 1"))
+@example(text=TWO_BLOCK.replace("q = 2", "q = 4"))
+@example(text=TWO_BLOCK.replace("blocks = 3,3", "blocks = 3,0"))
+@example(text=TWO_BLOCK + "[limits]\nmax_codewords = 0\n")
+@example(text=TWO_BLOCK + "[limits]\nmax_codewords = -1\n")
+@example(text=TWO_BLOCK + "[output]\nformat = yaml\n")
+@example(text=TWO_BLOCK.replace("levels = 1", "levels = 0"))
+@example(text="[space\nq = 2\n")
+@example(text="q = 2\n")
+@example(text="")
+def test_any_config_text_exits_0_2_or_3(config_dir, text):
+    _config_exits(config_dir, text, ["analyze", "gen.txt"])
+    _config_exits(config_dir, text, ["construct"])
+
+
+def _with_specs(chain, outer):
+    return SPACE_33 + f"""
+[gcc]
+levels = 1
+chain.1 = {chain}
+chain.2 = parity:3
+outer.1 = {outer}
+"""
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(chain=_SPECS, outer=_SPECS)
+@example(chain="repetition:3", outer="full")
+@example(chain="rows:111|111", outer="full")
+@example(chain="rows:", outer="full")
+@example(chain="rows:2", outer="full")
+@example(chain="hamming:3", outer="full")
+@example(chain="rs:3:2", outer="full")
+@example(chain="parity:0", outer="full")
+@example(chain="full:-1", outer="full")
+@example(chain="file:", outer="full")
+@example(chain="repetition:3", outer="mother:parity:2:1")
+@example(chain="repetition:3", outer="mother:reed_solomon:2:1")
+@example(chain="repetition:3", outer="mother:bogus:2:1")
+@example(chain="repetition:3", outer="mother:parity:2:0")
+@example(chain="repetition:3", outer="rows:1,1,1")
+@example(chain="repetition:3", outer="rows:0,0,0")
+@example(chain="repetition:3", outer="rows:1")
+@example(chain="repetition:3", outer="file:gen.txt")
+@example(chain="file:gen.txt", outer="full")
+def test_any_inner_and_outer_spec_exits_0_2_or_3(config_dir, chain, outer):
+    _config_exits(config_dir, _with_specs(chain, outer), ["construct"])

@@ -226,7 +226,39 @@ def test_sweep_stages_match_cold_solves(pivots):
             assert res.status == cold.status == "optimal", f"case {case}"
             assert res.value == cold.value, f"case {case}, stage {stage}"
             ratlp._verify(own, *_certificate(res.solution, res.dual))
+            ratlp._verify(lp, *_certificate(res.solution, res.dual), stage)
     assert pivots
+
+
+def test_sweep_certifies_each_stage_without_rebuilding_the_program(monkeypatch):
+    lp = LinearProgram(objective=[3, 1, 2], rows=[([1, 1, 1], 6), ([2, 0, 1], 8), ([0, 1, 3], 9)])
+    built = []
+    post_init = LinearProgram.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(LinearProgram, "__post_init__", counted)
+    stages = [[2], [0, 2], [0, 1, 2]]
+    results = list(solve_sweep(lp, stages))
+    assert built == []  # each stage is read from lp's own rows
+    for stage, res in zip(stages, results):
+        assert res.value == solve_max(_restricted(lp, stage)).value
+
+
+def test_a_stage_certificate_is_checked_on_the_stage_columns():
+    lp = LinearProgram(objective=[1, 1, 5], rows=[([1, 2, 1], 4), ([3, 1, 1], 6)])
+    stage = [0, 1]  # column 2 stays locked at zero
+    res = next(solve_sweep(lp, [stage]))
+    x, y, den = _certificate(res.solution, res.dual)
+    ratlp._verify(lp, x, y, den, stage)
+    with pytest.raises(DefectError, match="dual constraint"):
+        ratlp._verify(lp, x + [0], y, den)  # the dual does not cover column 2
+    with pytest.raises(DefectError, match="one value per column"):
+        ratlp._verify(lp, x + [0], y, den, stage)
+    with pytest.raises(DefectError, match="violates a constraint"):
+        ratlp._verify(lp, [x[0] + den, x[1]], y, den, stage)
 
 
 def test_sweep_reports_each_unbounded_stage():

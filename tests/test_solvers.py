@@ -1,24 +1,34 @@
-"""The decoders' cached linear solves against brute force.
+"""The decoders' cached linear solves and error tables against brute force.
 
 Every system the decoders solve has a matrix fixed by the code: a chain
 level's basis, or a generator restricted to the coordinates an erasure
-trial keeps.  Each is row-reduced once, so these tests compare the
-solves with a search over every codeword, on a cold and on a warm
-cache, and count the row reductions of a warmed decoder.
+trial keeps.  Each is row-reduced once, and a trial that allows errors
+looks its syndrome up in a table built once per kept-coordinate set.
+These tests compare the solves and the lookups with a search over every
+codeword, on a cold and on a warm cache, and count the row reductions
+and codeword scans of a warmed decoder.
 """
 
 import os
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import F2, F3
+from helpers import F2, F3, mixed_code_from_parity_mother
 from whmetric import cli
 from whmetric import code as code_module
-from whmetric.code import FAIL, LinearCode, NestedChain, PolyalphabeticCode, vec_add
+from whmetric.code import (
+    FAIL,
+    LinearCode,
+    NestedChain,
+    PolyalphabeticCode,
+    named_code,
+    vec_add,
+)
+from whmetric.construct import outer_code
 from whmetric.decode import gcc_decode
 from whmetric.errors import ParameterError
 from whmetric.field import make_extension_field
@@ -103,9 +113,207 @@ def test_cached_erasure_solves_match_brute_force(case):
                 # the same branch for every kept set, rank-deficient ones
                 # included, by claiming a distance that leaves no errors
                 for _ in range(2):
-                    got = code_module._erasures_core(code, kept, s, s + 1, r)
+                    got = code_module._erasures_core(code, set(erased), s + 1, r)
                     assert got == (FAIL if deficient else expected)
-            assert (code._solvers[cols] is None) == deficient
+            entry = code._solvers[cols]
+            assert (entry is None) == deficient
+            if entry is not None:  # re-encoding through the stored rows is the identity on info
+                assert set(entry.info) <= set(cols) and len(entry.rows) == code.k
+                assert set(entry.rest) == set(cols) - set(entry.info)
+                for c in codewords:
+                    assert entry.encode(code.field, c) == c
+
+
+# -- trials that allow errors: one error table per kept-coordinate set ----------
+
+
+def nearest_by_brute_force(codewords, spans, erased, d, received):
+    """The scan's answer: the only codeword nearest ``received`` on the
+    kept symbols when 2 * (its distance) + s < d, else FAIL."""
+    kept = [span for i, span in enumerate(spans) if i not in erased]
+    dists = [sum(1 for lo, hi in kept if c[lo:hi] != received[lo:hi]) for c in codewords]
+    best = min(dists)
+    if dists.count(best) == 1 and 2 * best + len(erased) < d:
+        return codewords[dists.index(best)]
+    return FAIL
+
+
+def pattern_count(q, widths, radius):
+    """Words with at most ``radius`` nonzero symbols of the given widths,
+    counted over every choice of support."""
+    total = 0
+    for w in range(radius + 1):
+        for support in combinations(widths, w):
+            count = 1
+            for b in support:
+                count *= q**b - 1
+            total += count
+    return total
+
+
+def check_error_trials(code, words):
+    """Every erasure set with s < d and e >= 1, decoded cold and warm
+    against brute force; returns the paths the kept sets took."""
+    field = code.field
+    spans = code._offsets
+    codewords = list(code.codewords())
+    d = min(sum(1 for lo, hi in spans if any(c[lo:hi])) for c in codewords if any(c))
+    assert code._decoding_distance() == d
+    paths = set()
+    for s in range(min(d, len(spans) + 1)):
+        if (d - 1 - s) // 2 == 0:
+            continue
+        for erased in combinations(range(len(spans)), s):
+            kept = [span for i, span in enumerate(spans) if i not in erased]
+            cols = tuple(c for lo, hi in kept for c in range(lo, hi))
+            for r in words:
+                expected = nearest_by_brute_force(codewords, spans, set(erased), d, r)
+                code._solvers.pop(cols, None)
+                assert code.erasure_decode(r, erased) == expected  # cold
+                assert code.erasure_decode(r, erased) == expected  # warm
+            entry = code._solvers[cols]
+            nonempty = sum(1 for i in erased if spans[i][1] > spans[i][0])
+            radius = (d - 1 - nonempty) // 2
+            widths = [hi - lo for lo, hi in kept]
+            patterns = pattern_count(field.order, widths, radius)
+            assert entry.radius == radius
+            if patterns > field.order**code.k:
+                assert entry.table is None
+                paths.add("scan")
+            else:
+                assert len(entry.table) == patterns
+                paths.add("table")
+    return paths
+
+
+def _projective_points(field, r):
+    """The nonzero vectors of length r whose first nonzero entry is 1."""
+    points = []
+    for v in product(range(field.order), repeat=r):
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1:
+            points.append(v)
+    return points
+
+
+@st.composite
+def codes_for_error_trials(draw):
+    """A code over F2, F3 or GF(4) with redundancy for errors, linear or
+    polyalphabetic with one zero-width symbol, and received words: one
+    drawn at random and codewords with one and two symbols redrawn.
+
+    Half the codes have random generators; the others are the kernels of
+    r x n parity checks with pairwise independent columns, so as linear
+    codes they have d >= 3, and their rates reach both sides of the
+    pattern-count rule."""
+    field = draw(st.sampled_from((F2, F3, F4)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3 if field.order == 2 else 2))
+        n = draw(st.integers(k + 2, k + 4))
+        rows = _full_rank_rows(draw, field, n, k)
+    else:
+        r = draw(st.integers(2, 3))
+        points = draw(st.permutations(_projective_points(field, r)))
+        top = min(len(points), 7)
+        n = draw(st.integers(max(r + 1, top - 2), top))
+        columns = points[:n]
+        rows = code_module.kernel_basis(field, [[col[i] for col in columns] for i in range(r)], n)
+        k = n - r
+    if draw(st.booleans()):
+        code = LinearCode(field, rows)
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        sizes.insert(draw(st.integers(0, len(sizes))), 0)
+        code = PolyalphabeticCode(field, sizes, rows)
+    spans = code._offsets
+    words = [_word(draw, field, n)]
+    for changes in (1, 2):
+        noisy = list(code.encode([draw(st.integers(0, field.order - 1)) for _ in range(k)]))
+        for i in draw(st.lists(st.integers(0, len(spans) - 1), min_size=changes, max_size=changes)):
+            lo, hi = spans[i]
+            noisy[lo:hi] = _word(draw, field, hi - lo)
+        words.append(tuple(noisy))
+    return code, words
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(codes_for_error_trials())
+@example((named_code("hamming", F2, 7), [(1, 1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 1, 0, 1)]))
+@example((outer_code(F2, (2, 2, 2, 2), "reed_solomon", 2), [(1, 0) * 4, (0, 1, 1, 1, 0, 0, 1, 1)]))
+def test_error_trials_match_the_nearest_codeword_scan(case):
+    code, words = case
+    check_error_trials(code, words)
+
+
+def _noisy_codewords(code, rng):
+    words = []
+    for _ in range(3):
+        word = list(code.encode([rng.randrange(code.field.order) for _ in range(code.k)]))
+        for p in rng.sample(range(len(word)), rng.randint(0, 2)):
+            word[p] = rng.randrange(code.field.order)
+        words.append(tuple(word))
+    return words
+
+
+LOW_RATE_ROWS = [(1, 0, 0, 1, 1, 1), (0, 1, 1, 1, 1, 0)]  # block distance 3 on (2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    (
+        (lambda: named_code("hamming", F2, 7), "table"),  # 8 patterns, 16 words
+        (lambda: named_code("hamming", F3, 4), "table"),  # 9 patterns, 9 words
+        (lambda: named_code("repetition", F2, 5), "scan"),  # 16 patterns, 2 words
+        (lambda: named_code("repetition", F4, 4), "scan"),  # 13 patterns, 4 words
+        (lambda: PolyalphabeticCode(F2, (0, 2, 2, 2), LOW_RATE_ROWS), "scan"),
+        (lambda: mixed_code_from_parity_mother(2), None),  # d = 2: no trial allows errors
+    ),
+    ids=("hamming-7", "hamming-4-ternary", "repetition-5", "repetition-gf4", "poly-low-rate", "d2"),
+)
+def test_each_kept_set_takes_the_table_or_the_scan_by_pattern_count(make, path):
+    code = make()
+    paths = check_error_trials(code, _noisy_codewords(code, random.Random(5)))
+    assert paths == ({path} if path else set())
+
+
+def test_rs4_outer_code_keeps_a_table_for_its_error_trial():
+    gcc = cli.build_gcc_from_config(cli.parse_config(RS4_CONFIG))
+    outer = gcc.outers[0]  # [4, 2] Reed-Solomon over GF(8) as 3-bit symbols, d = 3
+    words = _noisy_codewords(outer, random.Random(8))
+    assert check_error_trials(outer, words) == {"table"}
+    assert len(outer._solvers[tuple(range(12))].table) == 1 + 4 * 7
+
+
+def _bch_15_7():
+    """The binary [15, 7, 5] BCH code, as 15 one-bit symbols and one
+    zero-width symbol at the end."""
+    g = (1, 0, 0, 0, 1, 0, 1, 1, 1)  # 1 + x^4 + x^6 + x^7 + x^8
+    rows = [tuple([0] * i + list(g) + [0] * (6 - i)) for i in range(7)]
+    return PolyalphabeticCode(F2, (1,) * 15 + (0,), rows)
+
+
+def test_a_zero_width_erasure_narrows_the_budget_below_the_table_radius():
+    code = _bch_15_7()
+    assert code._decoding_distance() == 5
+    codewords = list(code.codewords())
+    sent = code.encode((1, 0, 1, 1, 0, 0, 1))
+    one = tuple(1 - x if p == 3 else x for p, x in enumerate(sent))
+    two = tuple(1 - x if p in (3, 9) else x for p, x in enumerate(sent))
+    # no symbol of width > 0 erased: the table covers two errors
+    assert code.erasure_decode(two, ()) == sent
+    # erasing the zero-width symbol keeps the same coordinates and table,
+    # but 2e + s < d now allows one error only, as in the scan; the table
+    # is the same whichever of the two trials builds it
+    for first in ((15,), ()):
+        code._solvers.clear()
+        code.erasure_decode(sent, first)
+        for erased in ((), (15,)):
+            for r in (sent, one, two):
+                expected = nearest_by_brute_force(codewords, code._offsets, set(erased), 5, r)
+                assert code.erasure_decode(r, erased) == expected
+    assert code.erasure_decode(two, (15,)) is FAIL
+    assert code.erasure_decode(one, (15,)) == sent
+    assert code._solvers[tuple(range(15))].radius == 2
 
 
 @st.composite
@@ -168,10 +376,23 @@ def test_a_warmed_decoder_makes_no_row_reduction(monkeypatch):
         calls.append(len(rows))
         return row_reduce(field, rows)
 
+    streams = []
+    for cls in (LinearCode, PolyalphabeticCode):
+        codewords = cls.codewords
+
+        def counted_stream(self, codewords=codewords):
+            streams.append(self)
+            return codewords(self)
+
+        monkeypatch.setattr(cls, "codewords", counted_stream)
     monkeypatch.setattr(code_module, "row_reduce", counted)
     cold = [gcc_decode(gcc, w) for w in words]
     assert calls  # the counter sees the erasure solvers being built
     calls.clear()
+    streams.clear()
     warm = [gcc_decode(gcc, w) for w in words]
     assert calls == []
+    assert streams == []  # the s = 0 trial of the first outer code looks up its table
+    list(gcc.outers[0].codewords())
+    assert streams == [gcc.outers[0]]  # the counter sees a stream
     assert [r.to_json() for r in warm] == [r.to_json() for r in cold]
