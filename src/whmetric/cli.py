@@ -3,6 +3,9 @@
 Subcommands: bounds, construct, analyze, decode, search, enumerate.
 Configuration is a sectioned key/value file (see the README for the
 grammar); unknown sections or keys are rejected rather than ignored.
+Component codes, in ``[gcc]`` and in the ``[search]`` menus alike, are
+specs read by :func:`whmetric.construct.parse_code_spec` (inner codes)
+and :func:`whmetric.construct.parse_outer_spec` (outer codes).
 
 Exit codes: 0 success, 2 configuration or parameter error, 3 exhaustion
 refusal, 4 internal defect.
@@ -25,16 +28,14 @@ from .bounds import (
     packing_bound,
     singleton_k_for_t,
 )
-from .code import (
-    Limits,
-    LinearCode,
-    NestedChain,
-    PolyalphabeticCode,
-    format_matrix,
-    load_matrix_file,
-    named_code,
+from .code import Limits, NestedChain, format_matrix, load_matrix_file
+from .construct import (
+    build_gcc,
+    pareto_frontier,
+    parse_code_spec,
+    parse_outer_spec,
+    search_constructions,
 )
-from .construct import build_gcc, outer_code, pareto_frontier, search_constructions
 from .decode import gcc_decode
 from .errors import DefectError, ExhaustionError, ParameterError
 # make_extension_field is unused here but stays importable from this
@@ -152,85 +153,6 @@ def parse_config(path) -> RunConfig:
     )
 
 
-# -- component-code mini language -------------------------------------------
-
-
-def _spec_int(text, spec):
-    try:
-        return int(text)
-    except ValueError:
-        raise ParameterError(f"expected an integer, got {text!r} in spec {spec!r}") from None
-
-
-def _parse_rows(field, text):
-    rows = []
-    for chunk in text.split("|"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        tokens = chunk.split(",") if "," in chunk else chunk
-        rows.append(tuple(_spec_int(tok, text) for tok in tokens))
-    if not rows:
-        raise ParameterError("rows: spec contains no rows")
-    return rows
-
-
-def parse_code_spec(field, spec, expected_n, base_dir="."):
-    """One inner-code spec: a named family ``<family>[:<n>[:<k>]]``, inline
-    rows, or a matrix file."""
-    spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    head = head.strip().lower()
-    if head in ("repetition", "parity", "full", "hamming", "rs", "reed_solomon"):
-        parts = [p for p in rest.split(":") if p] if rest else []
-        if len(parts) > 2:
-            raise ParameterError(f"family spec needs <family>[:<n>[:<k>]], got {spec!r}")
-        n = _spec_int(parts[0], spec) if parts else expected_n
-        k = _spec_int(parts[1], spec) if len(parts) == 2 else None
-        code = named_code(head, field, n, k)
-    elif head == "rows":
-        code = LinearCode(field, _parse_rows(field, rest))
-    elif head == "file":
-        code = load_matrix_file(os.path.join(base_dir, rest.strip()))
-        if code.field != field:
-            raise ParameterError(f"matrix file {rest!r} is over a different field")
-    else:
-        raise ParameterError(f"unknown code spec {spec!r}")
-    if code.n != expected_n:
-        raise ParameterError(f"code spec {spec!r} has length {code.n}, expected {expected_n}")
-    return code
-
-
-def parse_outer_spec(field, spec, widths, base_dir="."):
-    """One outer-code spec for a level with the given symbol widths."""
-    spec = spec.strip()
-    total = sum(widths)
-    head, _, rest = spec.partition(":")
-    head = head.strip().lower()
-    if head == "full":
-        return outer_code(field, widths)
-    if head == "mother":
-        parts = [p for p in rest.split(":") if p]
-        if len(parts) != 3:
-            raise ParameterError(f"mother spec needs mother:<family>:<n>:<k>, got {spec!r}")
-        family, n, k = parts[0], _spec_int(parts[1], spec), _spec_int(parts[2], spec)
-        if n != len(widths):
-            raise ParameterError(f"mother length {n} must equal the block count {len(widths)}")
-        return outer_code(field, widths, family, k)
-    if head == "rows":
-        return PolyalphabeticCode(field, widths, _parse_rows(field, rest))
-    if head == "file":
-        code = load_matrix_file(os.path.join(base_dir, rest.strip()))
-        if code.field != field:
-            raise ParameterError(f"matrix file {rest!r} is over a different field")
-        if code.n != total:
-            raise ParameterError(
-                f"matrix file {rest!r} has length {code.n}, the level needs {total}"
-            )
-        return PolyalphabeticCode(field, widths, code.generator)
-    raise ParameterError(f"unknown outer spec {spec!r}")
-
-
 def build_gcc_from_config(cfg: RunConfig):
     sec = cfg.gcc_section
     if sec is None:
@@ -253,9 +175,7 @@ def build_gcc_from_config(cfg: RunConfig):
         specs = [s for s in sec[key].split(";") if s.strip()]
         if len(specs) != levels:
             raise ParameterError(f"{key!r} must list {levels} codes separated by ';'")
-        codes = [
-            parse_code_spec(field, s, space.blocks[l], cfg.base_dir) for s in specs
-        ]
+        codes = [parse_code_spec(field, s, space.blocks[l], cfg.base_dir) for s in specs]
         chains.append(NestedChain(codes))
     known = {"levels"}
     known.update(f"chain.{l + 1}" for l in range(space.m))
@@ -405,7 +325,7 @@ def cmd_search(args):
         max_levels = int(sec.get("max_levels", "1"))
     except ValueError:
         raise ParameterError("max_levels must be an integer") from None
-    records = search_constructions(cfg.space, inner, outer, max_levels, cfg.limits)
+    records = search_constructions(cfg.space, inner, outer, max_levels, cfg.limits, cfg.base_dir)
     t_front = pareto_frontier(records, "capability_floor")
     d_front = pareto_frontier(records, "designed_distance")
     if _chosen_format(args, cfg) == "json":
@@ -415,10 +335,7 @@ def cmd_search(args):
         }
         _emit(json.dumps(payload, indent=2) + "\n", args, cfg)
     else:
-        lines = ["t,k"]
-        lines += [f"{t},{k}" for t, k in t_front]
-        lines.append("")
-        lines.append("d,k")
+        lines = ["t,k", *(f"{t},{k}" for t, k in t_front), "", "d,k"]
         lines += [f"{d},{k}" for d, k in d_front]
         _emit("\n".join(lines) + "\n", args, cfg)
     return 0

@@ -952,7 +952,7 @@ def load_matrix_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ParameterError(f"cannot read matrix file: {exc}") from None
     return parse_matrix_text(text)
 

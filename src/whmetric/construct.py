@@ -20,14 +20,18 @@ d(A_j) blocks, the capability of the profile that puts the inner-code
 distance in each chosen block; the support choice of concrete vectors is
 immaterial because capability depends only on the profile.
 
-A small search harness enumerates named component menus, builds each
-level's outer menu once per symbol widths, assembles each candidate
-through :func:`build_gcc`, and reports the Pareto frontiers of
-(capability floor, dimension) and (designed distance, dimension).
+Components are named in one spec grammar, :func:`parse_code_spec` for
+inner codes and :func:`parse_outer_spec` for outer codes, which the
+CLI's ``[gcc]`` section and the search harness share.  The harness
+parses each menu entry once per block length or symbol widths, assembles
+each candidate through :func:`build_gcc`, and reports the Pareto
+frontiers of (capability floor, dimension) and (designed distance,
+dimension).
 """
 
 from __future__ import annotations
 
+import os
 from itertools import combinations, product
 
 from .code import (
@@ -35,6 +39,7 @@ from .code import (
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
+    load_matrix_file,
     named_code,
     vec_add,
     vec_scale,
@@ -223,10 +228,8 @@ class GccCode:
 
     def generator_rows(self):
         if self._generator is None:
-            rows = []
-            for flat in _unit_messages(self.k):
-                rows.append(self.encode(self.split_message(flat)))
-            self._generator = tuple(rows)
+            units = (tuple(int(i == j) for j in range(self.k)) for i in range(self.k))
+            self._generator = tuple(self.encode(self.split_message(u)) for u in units)
         return self._generator
 
     def as_linear_code(self) -> LinearCode:
@@ -238,13 +241,6 @@ class GccCode:
                 )
             self._linear = code
         return self._linear
-
-
-def _unit_messages(k):
-    for i in range(k):
-        row = [0] * k
-        row[i] = 1
-        yield tuple(row)
 
 
 def build_gcc(space, chains, outers, limits=DEFAULT_LIMITS) -> GccCode:
@@ -285,101 +281,187 @@ def build_gcc(space, chains, outers, limits=DEFAULT_LIMITS) -> GccCode:
     return GccCode(space, chains, outers, limits)
 
 
+# -- code-spec grammar -------------------------------------------------------
+
+
+def _spec_int(text, spec):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"expected an integer, got {text!r} in spec {spec!r}") from None
+
+
+def _parse_rows(text):
+    rows = []
+    for chunk in text.split("|"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        tokens = chunk.split(",") if "," in chunk else chunk
+        rows.append(tuple(_spec_int(tok, text) for tok in tokens))
+    if not rows:
+        raise ParameterError("rows: spec contains no rows")
+    return rows
+
+
+def parse_code_spec(field, spec, expected_n, base_dir="."):
+    """One inner-code spec of length ``expected_n``: a named family
+    ``<family>[:<n>[:<k>]]``, inline ``rows:``, or ``file:<path>`` relative
+    to ``base_dir``."""
+    spec = spec.strip()
+    head, _, rest = spec.partition(":")
+    head = head.strip().lower()
+    if head == "rows":
+        code = LinearCode(field, _parse_rows(rest))
+    elif head == "file":
+        code = load_matrix_file(os.path.join(base_dir, rest.strip()))
+        if code.field != field:
+            raise ParameterError(f"matrix file {rest!r} is over a different field")
+    else:
+        parts = [p for p in rest.split(":") if p]
+        if len(parts) > 2:
+            raise ParameterError(f"family spec needs <family>[:<n>[:<k>]], got {spec!r}")
+        n = _spec_int(parts[0], spec) if parts else expected_n
+        k = _spec_int(parts[1], spec) if len(parts) == 2 else None
+        if n != expected_n:  # refused before building, so no long code is ever built
+            raise ParameterError(f"code spec {spec!r} has length {n}, expected {expected_n}")
+        code = named_code(head, field, n, k)
+    if code.n != expected_n:
+        raise ParameterError(f"code spec {spec!r} has length {code.n}, expected {expected_n}")
+    return code
+
+
+def parse_outer_spec(field, spec, widths, base_dir="."):
+    """One outer-code spec for a level with the given symbol widths:
+    ``full``, ``mother:<family>:<n>:<k>``, or a ``rows:`` or ``file:``
+    inner spec of length sum(widths), grouped into the widths."""
+    spec = spec.strip()
+    head, _, rest = spec.partition(":")
+    head = head.strip().lower()
+    if head == "full":
+        return outer_code(field, widths)
+    if head == "mother":
+        parts = [p for p in rest.split(":") if p]
+        if len(parts) != 3:
+            raise ParameterError(f"mother spec needs mother:<family>:<n>:<k>, got {spec!r}")
+        family, n, k = parts[0], _spec_int(parts[1], spec), _spec_int(parts[2], spec)
+        if n != len(widths):
+            raise ParameterError(f"mother length {n} must equal the block count {len(widths)}")
+        return outer_code(field, widths, family, k)
+    if head not in ("rows", "file"):
+        raise ParameterError(f"unknown outer spec {spec!r}")
+    code = parse_code_spec(field, spec, sum(widths), base_dir)
+    return PolyalphabeticCode(field, widths, code.generator)
+
+
 # -- search harness ----------------------------------------------------------
 
 
-def _named_menu(field, n, families):
-    out = {}
-    for fam in families:
-        fam = fam.strip().lower()
-        if fam not in ("repetition", "parity", "full", "hamming"):
-            raise ParameterError(f"unknown inner menu family {fam!r}")
-        try:
-            out[fam] = named_code(fam, field, n)
-        except ParameterError:
-            pass  # the family has no code of length n
-    return out
+class _Menu:
+    """One ``[search]`` menu: its entries, and the first error of each entry
+    that has given no code yet.  An entry with no code where it is tried is
+    skipped there; :meth:`check` raises for one that gave a code nowhere."""
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+        if not self.entries:
+            raise ParameterError("a search menu needs at least one entry")
+        self._failures = {}  # entry -> its first error, or None once it gave a code
+
+    def codes(self, pairs, parse):
+        """(spec, code) for each (entry, spec) pair that ``parse`` turns into a code."""
+        out = []
+        for entry, spec in pairs:
+            try:
+                out.append((spec, parse(spec)))
+            except ParameterError as exc:
+                self._failures.setdefault(entry, exc)
+            else:
+                self._failures[entry] = None
+        return out
+
+    def check(self):
+        for entry, exc in self._failures.items():
+            if exc is not None:
+                raise ParameterError(f"menu entry {entry!r} gives no code: {exc}")
 
 
-def _chain_options(field, n, families, levels):
-    menu = _named_menu(field, n, families)
+def _chain_options(menu, levels):
+    """(specs, chain) candidates: ``levels`` codes of ``menu`` ({spec: code}),
+    each a proper subcode of the one before."""
     names = sorted(menu)
-    if levels == 1:
-        return [((name,), NestedChain([menu[name]])) for name in names]
     options = []
 
     def rec(prefix):
         if len(prefix) == levels:
             options.append((tuple(prefix), NestedChain([menu[p] for p in prefix])))
             return
+        prev = menu[prefix[-1]] if prefix else None
         for name in names:
-            if not prefix:
-                rec([name])
-            else:
-                prev = menu[prefix[-1]]
-                cand = menu[name]
-                if cand.k < prev.k and cand.is_subcode_of(prev):
-                    rec(prefix + [name])
+            cand = menu[name]
+            if prev is None or (cand.k < prev.k and cand.is_subcode_of(prev)):
+                rec(prefix + [name])
 
     rec([])
     return options
 
 
-def _outer_options(field, widths, menu):
-    """(name, outer code) candidates for one level with the given symbol widths."""
-    out = []
+def _outer_options(field, widths, menu, base_dir="."):
+    """(spec, outer code) candidates for one level with the given symbol
+    widths; ``menu`` is a :class:`_Menu` of outer specs.
+
+    A bare family name other than ``full`` stands for
+    ``mother:<family>:<m>:<k>`` for k = 1..m-1, m the symbol count.
+    """
     m = len(widths)
-    sorted_sizes = sorted(widths)
-    for entry in menu:
-        entry = entry.strip().lower()
-        if entry == "full":
-            out.append(("full", outer_code(field, widths)))
-        elif entry == "rs":
-            if sorted_sizes[0] < 1:
-                continue
-            for kk in range(1, m):  # kk = m is the full space, already offered
-                if m > field.q ** sorted_sizes[kk - 1]:
-                    continue  # no Reed-Solomon mother of length m
-                out.append((f"rs:{kk}", outer_code(field, widths, "reed_solomon", kk)))
+    pairs = []
+    for entry in menu.entries:
+        if ":" in entry or entry.strip().lower() == "full":
+            pairs.append((entry, entry))
         else:
-            raise ParameterError(f"unknown outer menu entry {entry!r}")
-    return out
+            pairs.extend((entry, f"mother:{entry}:{m}:{k}") for k in range(1, m))
+    return menu.codes(pairs, lambda spec: parse_outer_spec(field, spec, widths, base_dir))
 
 
-def search_constructions(space, inner_families, outer_menu, max_levels, limits=DEFAULT_LIMITS):
+def search_constructions(
+    space, inner_menu, outer_menu, max_levels, limits=DEFAULT_LIMITS, base_dir="."
+):
     """Enumerate menu assemblies; returns records sorted by (levels, spec).
 
-    Each record is a dict with keys k, designed_distance, capability_floor,
-    inner, outer, levels.  Every candidate is assembled by :func:`build_gcc`
-    from exact component distances scanned under ``limits``, so the
-    reported parameters are guaranteed, not estimates.
+    Inner entries are code specs, parsed once per distinct block length;
+    outer entries are outer specs (see :func:`_outer_options`), parsed once
+    per symbol widths; ``file:`` paths resolve against ``base_dir``.  An
+    entry with no code at a length or widths is skipped there, and one with
+    a code nowhere raises its first error.  Each record is a dict with keys
+    k, designed_distance, capability_floor, levels, and the inner and outer
+    specs, so it can be written back as a ``[gcc]`` section.  Candidates are
+    assembled by :func:`build_gcc` from exact component distances scanned
+    under ``limits``, so the reported parameters are guaranteed.
     """
+    if max_levels < 1:
+        raise ParameterError(f"max_levels must be at least 1, got {max_levels}")
     field = make_prime_field(space.q)
+    inner, outer = _Menu(inner_menu), _Menu(outer_menu)
+    pairs = [(entry, entry) for entry in inner.entries]
+    inner_codes = {}  # block length -> {spec: code}
+    for n in dict.fromkeys(space.blocks):
+        inner_codes[n] = dict(inner.codes(pairs, lambda s: parse_code_spec(field, s, n, base_dir)))
+    inner.check()
     records = []
     # Many chain combinations share a level's widths, and codes are
     # immutable, so each widths tuple gets one outer menu per call.
     outer_menus = {}
     for levels in range(1, max_levels + 1):
-        per_block = [
-            _chain_options(field, n, inner_families, levels) for n in space.blocks
-        ]
-        if any(not opts for opts in per_block):
-            continue
+        per_block = [_chain_options(inner_codes[n], levels) for n in space.blocks]
+        if not all(per_block):
+            break  # every longer chain extends a chain of this many levels
         for combo in product(*per_block):
-            chains = [c for _, c in combo]
-            names = [n for n, _ in combo]
+            names, chains = zip(*combo)
             outer_choices = []
-            ok = True
-            for j in range(levels):
-                widths = tuple(chain.widths[j] for chain in chains)
-                if sum(widths) == 0:
-                    ok = False
-                    break
+            for widths in zip(*(chain.widths for chain in chains)):  # one per level
                 if widths not in outer_menus:
-                    outer_menus[widths] = _outer_options(field, widths, outer_menu)
+                    outer_menus[widths] = _outer_options(field, widths, outer, base_dir)
                 outer_choices.append(outer_menus[widths])
-            if not ok:
-                continue
             for outer_combo in product(*outer_choices):
                 gcc = build_gcc(space, chains, [p for _, p in outer_combo], limits)
                 records.append(
@@ -388,10 +470,11 @@ def search_constructions(space, inner_families, outer_menu, max_levels, limits=D
                         "designed_distance": gcc.designed_distance,
                         "capability_floor": gcc.capability_floor,
                         "levels": levels,
-                        "inner": tuple(names),
+                        "inner": names,
                         "outer": tuple(n for n, _ in outer_combo),
                     }
                 )
+    outer.check()
     return records
 
 

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from whmetric import cli
 from whmetric.cli import main
+from whmetric.construct import pareto_frontier, search_constructions
+from whmetric.metric import WeightedSpace
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 SPACE_33 = """
 [space]
@@ -235,6 +239,87 @@ outer = full
     assert blocks[0].splitlines()[0] == "t,k"
     assert "1,18" in blocks[0].splitlines()
     assert blocks[1].splitlines()[0] == "d,k"
+
+
+def _search_config(inner, outer="full", max_levels="2"):
+    return SPACE_33 + f"""
+[search]
+inner = {inner}
+outer = {outer}
+max_levels = {max_levels}
+"""
+
+
+@pytest.mark.parametrize(
+    "inner, outer, max_levels",
+    [
+        ("repetition,parity,full", "full,bogus", "2"),
+        ("repetition,hamming:x", "full", "2"),
+        ("repetition,parity,full", "full", "0"),
+        ("repetition,parity,full", "full", "-3"),
+        ("", "full", "2"),
+        ("repetition,parity,full", "", "2"),
+    ],
+)
+def test_search_menu_errors_exit_2(tmp_path, capsys, inner, outer, max_levels):
+    cfg = write(tmp_path, "search.cfg", _search_config(inner, outer, max_levels))
+    assert main(["search", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_search_with_a_huge_max_levels_stops_at_the_deepest_chain(tmp_path, capsys):
+    inner, outer = "repetition,parity,full", "full,rs"
+    cfg = write(tmp_path, "deep.cfg", _search_config(inner, outer, "1000000"))
+    capped = write(tmp_path, "capped.cfg", _search_config(inner, outer, "3"))
+    code, out = run(capsys, ["search", "--config", cfg])
+    assert code == 0
+    assert run(capsys, ["search", "--config", capped]) == (0, out)
+
+
+def _readme_config():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("command", ["construct", "search"])
+def test_readme_config_example_runs(tmp_path, capsys, command):
+    cfg = write(tmp_path, "readme.cfg", _readme_config())
+    code, out = run(capsys, [command, "--config", cfg])
+    assert code == 0, capsys.readouterr().err
+    assert out
+
+
+def test_search_record_names_rebuild_in_gcc(tmp_path):
+    # every frontier record, written back as a [gcc] section, rebuilds the
+    # same dimension, designed distance and capability floor
+    write(tmp_path, "Rep3.txt", "2 3 1\n1 1 1\n")
+    write(tmp_path, "Rep2.txt", "2 2 1\n1 1\n")
+    space = WeightedSpace(2, (3, 3), (1, 2))
+    records = search_constructions(
+        space,
+        ["repetition", "parity", "full", "rows:110|011", "file:Rep3.txt"],
+        ["full", "rs", "mother:parity:2:1", "file:Rep2.txt"],
+        2,
+        base_dir=str(tmp_path),
+    )
+    keys = ("capability_floor", "designed_distance")
+    fronts = {key: set(pareto_frontier(records, key)) for key in keys}
+    on_front = [r for r in records if any((r[key], r["k"]) in f for key, f in fronts.items())]
+    assert {o for r in on_front for o in r["outer"]} >= {"mother:rs:2:1", "file:Rep2.txt"}
+    for i, rec in enumerate(on_front):
+        lines = [f"levels = {rec['levels']}"]
+        lines += [f"chain.{l + 1} = {' ; '.join(chain)}" for l, chain in enumerate(rec["inner"])]
+        lines += [f"outer.{j + 1} = {spec}" for j, spec in enumerate(rec["outer"])]
+        path = write(tmp_path, f"rec{i}.cfg", SPACE_33 + "\n[gcc]\n" + "\n".join(lines) + "\n")
+        gcc = cli.build_gcc_from_config(cli.parse_config(path))
+        assert (gcc.k, gcc.designed_distance, gcc.capability_floor) == (
+            rec["k"],
+            rec["designed_distance"],
+            rec["capability_floor"],
+        )
 
 
 def test_enumerate_profiles(tmp_path, capsys):
@@ -588,5 +673,57 @@ outer.1 = {outer}
 @example(chain="repetition:3", outer="rows:1")
 @example(chain="repetition:3", outer="file:gen.txt")
 @example(chain="file:gen.txt", outer="full")
+@example(chain="file:a\x00b", outer="full")
+@example(chain="full:99999999999", outer="full")
 def test_any_inner_and_outer_spec_exits_0_2_or_3(config_dir, chain, outer):
     _config_exits(config_dir, _with_specs(chain, outer), ["construct"])
+
+
+_MENU_ENTRIES = st.one_of(
+    st.sampled_from(("rs:3:2", "rows:", "file:missing.txt", "mother:bogus:2:1", "bogus", "")),
+    _FAMILIES,
+    _SPECS,
+)
+# entries that give a code somewhere on blocks 3,3, so that searches run
+_INNER_ENTRIES = st.sampled_from(
+    ("repetition", "parity", "full", "full:3", "hamming", "rows:111|110", "rows:110|011")
+)
+_OUTER_ENTRIES = st.sampled_from(
+    ("full", "rs", "parity", "mother:rs:2:1", "mother:parity:2:1", "file:gen.txt", "rows:11")
+)
+
+
+def _menu(entries, min_size=0):
+    return st.lists(entries, min_size=min_size, max_size=4).map(",".join)
+
+
+def _any_menu(entries):
+    return st.one_of(_menu(st.one_of(entries, _MENU_ENTRIES)), _TEXT)
+
+
+_SEARCHES = st.one_of(
+    st.tuples(
+        _menu(_INNER_ENTRIES, 1),
+        _menu(_OUTER_ENTRIES, 1),
+        st.sampled_from((1, 2, 3, 10**9)).map(str),
+    ),
+    st.tuples(
+        _any_menu(_INNER_ENTRIES),
+        _any_menu(_OUTER_ENTRIES),
+        st.one_of(st.integers(-2, 3), st.just(10**9)).map(str),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(search=_SEARCHES)
+@example(search=("repetition,parity,full", "full,rs", "1000000000"))
+@example(search=("repetition,parity,full", "full,rs", "-2"))
+@example(search=("repetition, FULL:3", "Full, RS, file:gen.txt", "2"))
+@example(search=("file:gen.txt", "full", "1"))
+@example(search=("repetition", "mother:rs:2:1,rows:11", "1"))
+@example(search=("", "full", "1"))
+@example(search=("full", "", "1"))
+@example(search=("full", "file:a\x00b", "1"))
+def test_any_search_menu_exits_0_2_or_3(config_dir, search):
+    _config_exits(config_dir, _search_config(*search), ["search"])

@@ -14,6 +14,8 @@ from helpers import (
 from whmetric import construct as construct_module
 from whmetric.code import Limits, NestedChain, PolyalphabeticCode, named_code
 from whmetric.construct import (
+    _Menu,
+    _outer_options,
     build_gcc,
     outer_code,
     pareto_frontier,
@@ -22,7 +24,7 @@ from whmetric.construct import (
     search_constructions,
 )
 from whmetric.errors import ParameterError
-from whmetric.field import make_extension_field
+from whmetric.field import make_extension_field, make_prime_field
 from whmetric.metric import WeightedSpace
 from whmetric.oracle import exact_capability, exact_min_weighted_distance
 
@@ -198,3 +200,114 @@ def test_search_with_mother_outers_extends_the_frontier():
         for r in rich
         if r["designed_distance"] in best_plain or r["designed_distance"] > max(best_plain)
     )
+
+
+WORKLOAD_INNER = ["repetition", "parity", "full", "hamming"]
+
+
+def test_search_workload_menus_give_364_records():
+    space = WeightedSpace(2, (7, 7, 7), (1, 2, 3))
+    records = search_constructions(space, WORKLOAD_INNER, ["full", "rs"], 2)
+    assert len(records) == 364
+    assert Counter(r["levels"] for r in records) == {1: 145, 2: 219}
+    outers = {name for r in records for name in r["outer"]}
+    assert outers == {"full", "mother:rs:3:1", "mother:rs:3:2"}
+    best = max(records, key=lambda r: (r["capability_floor"], r["k"]))
+    assert (best["capability_floor"], best["k"]) == (8, 4)
+
+
+def _former_outer_candidates(field, widths):
+    """What the former hard-coded ``full, rs`` outer menu offered."""
+    out = [("full", outer_code(field, widths))]
+    m, sizes = len(widths), sorted(widths)
+    if sizes[0] >= 1:
+        out += [
+            (f"mother:rs:{m}:{k}", outer_code(field, widths, "reed_solomon", k))
+            for k in range(1, m)
+            if m <= field.q ** sizes[k - 1]
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "q, widths",
+    [
+        (2, (0, 2, 3)),  # a zero-width symbol: no mother code
+        (2, (2, 0)),
+        (2, (1, 1, 1)),  # m > q^size for every k
+        (2, (1, 2, 2)),  # only k = 2 has a long enough mother
+        (2, (2, 2, 2, 2, 2)),
+        (2, (3, 1, 2)),
+        (3, (1, 1, 1, 1)),
+        (7, (1, 2)),
+    ],
+)
+def test_outer_options_give_the_former_candidates(q, widths):
+    field = make_prime_field(q)
+    got = _outer_options(field, widths, _Menu(["full", "rs"]))
+    want = _former_outer_candidates(field, widths)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert (a.sizes, a.generator) == (b.sizes, b.generator)
+
+
+def test_inner_entry_without_a_code_at_one_length_is_skipped_there():
+    space = WeightedSpace(2, (7, 5), (1, 2))
+    records = search_constructions(space, ["repetition", "hamming"], ["full"], 1)
+    assert {r["inner"][0] for r in records} == {("hamming",), ("repetition",)}
+    assert {r["inner"][1] for r in records} == {("repetition",)}
+
+
+@pytest.mark.parametrize(
+    "inner, outer",
+    [
+        (["repetition", "hamming:x"], ["full"]),
+        (["repetition", "bogus"], ["full"]),
+        (["repetition", "mother:rs:3:1"], ["full"]),
+        (["repetition"], ["full", "bogus"]),
+        (["repetition"], ["full", "mother:rs:9:1"]),
+        (["repetition"], ["full", "rows:1,1,1"]),
+        ([], ["full"]),
+        (["repetition"], []),
+    ],
+)
+def test_menu_entry_with_a_code_nowhere_is_an_error(inner, outer):
+    space = WeightedSpace(2, (3, 3), (1, 2))
+    with pytest.raises(ParameterError):
+        search_constructions(space, inner, outer, 2)
+
+
+@pytest.mark.parametrize("max_levels", [0, -3])
+def test_search_needs_at_least_one_level(max_levels):
+    space = WeightedSpace(2, (3, 3), (1, 2))
+    with pytest.raises(ParameterError):
+        search_constructions(space, ["repetition", "full"], ["full"], max_levels)
+
+
+def test_search_stops_at_the_deepest_chain():
+    # no chain is longer than the dimensions allow, so a huge cap is harmless
+    space = WeightedSpace(2, (3, 3), (1, 2))
+    inner = ["repetition", "parity", "full"]
+    assert search_constructions(space, inner, ["full"], 10**9) == search_constructions(
+        space, inner, ["full"], 3
+    )
+
+
+def test_rows_file_and_mother_menu_entries(tmp_path):
+    (tmp_path / "Rep3.txt").write_text("2 3 1\n1 1 1\n", encoding="utf-8")
+    (tmp_path / "Rep2.txt").write_text("2 2 1\n1 1\n", encoding="utf-8")
+    space = WeightedSpace(2, (3, 3), (1, 2))
+    records = search_constructions(
+        space,
+        ["file:Rep3.txt", "rows:110|011", "full"],
+        ["mother:parity:2:1", "file:Rep2.txt"],
+        1,
+        base_dir=str(tmp_path),
+    )
+    by_name = {(r["inner"], r["outer"]): r for r in records}
+    rep = by_name[(("file:Rep3.txt",), ("file:Rep3.txt",)), ("file:Rep2.txt",)]
+    assert (rep["k"], rep["designed_distance"]) == (1, 9)
+    # the file of length 2 fits only widths (1, 1); the mother fits every widths
+    assert {o for (_, o) in by_name} == {("mother:parity:2:1",), ("file:Rep2.txt",)}
+    assert sum(o == ("file:Rep2.txt",) for (_, o) in by_name) == 1
+    assert len(records) == 10
