@@ -74,7 +74,7 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ParameterError(f"cannot read config: {exc}") from None
     except configparser.Error as exc:
         raise ParameterError(f"config syntax error: {exc}") from None
@@ -297,7 +297,7 @@ def cmd_decode(args):
     try:
         with open(os.path.join(cfg.base_dir, args.word_file), "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ParameterError(f"cannot read received word: {exc}") from None
     try:
         word = tuple(int(tok) for tok in tokens)

@@ -23,13 +23,29 @@ syndrome.  A trial that allows e >= 1 errors looks the syndrome up in
 the set's table of error patterns, built on the first such trial,
 instead of scanning the codewords; only a set whose patterns would
 outnumber the codewords keeps the scan.
+
+Every product by a fixed matrix (a chain level's inverse and basis, a
+kept set's rows, a generator, the transposed parity rows behind
+:meth:`LinearCode.syndrome`) is a :class:`_Product` built once with its
+matrix.  Over a prime field it packs each row into one integer with a
+byte lane per coordinate, wide enough that no lane carries, so y . rows
+is one integer sum read back lane by lane mod q; extension fields, and
+prime fields whose lane sums pass 8 bytes, take :func:`_combine`.  The
+products check no symbol, so every public entry that reaches one
+refuses a word with a symbol outside the field first
+(:meth:`~whmetric.field.Field.validate_all`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import comb, prod
+from operator import mul
+from struct import calcsize
+from sys import byteorder
 
 from .errors import DefectError, ExhaustionError, ParameterError
 from .field import Field, make_extension_field, make_prime_field
@@ -98,11 +114,62 @@ def _combine(field, rows, coeffs, length):
     return out
 
 
-def _encode(field, rows, message, length):
-    """:func:`_combine` of ``message``, each symbol validated."""
-    for c in message:
-        field.validate(c)
-    return _combine(field, rows, message, length)
+# (bytes, memoryview format) of the unsigned lanes a packed product can use
+_LANES = tuple((calcsize(fmt), fmt) for fmt in "BHIQ")
+
+
+@cache
+def _residues(q):
+    """The table byte b -> b mod q, for reducing one-byte lanes."""
+    return bytes([b % q for b in range(256)])
+
+
+class _Product:
+    """y -> y . rows, the combination sum(y[i] * rows[i]), for fixed
+    ``rows`` of vectors of ``length``; a y shorter than ``rows``
+    combines the leading rows.
+
+    Over a prime field whose lane sums k (q - 1)^2 fit in 8 bytes, each
+    row is packed into one integer with a lane of 1, 2, 4 or 8 bytes per
+    coordinate, the narrowest that holds the sum.  A product is then one
+    integer sum of y[i] * packed[i], whose lanes never carry into each
+    other, read back through the host's byte order and reduced mod q
+    (one-byte lanes by one ``bytes.translate`` through a table of the 256
+    residues).  Any other field calls :func:`_combine`.  No symbol is
+    checked here: an entry of y outside the field would spill into the
+    next lane, so the public callers validate their words once per call.
+    """
+
+    __slots__ = ("field", "rows", "length", "_packed", "_size", "_format", "_residues")
+
+    def __init__(self, field, rows, length):
+        self.field = field
+        self.rows = tuple(rows)
+        self.length = length
+        self._packed = None
+        if field.m != 1:
+            return
+        top = len(self.rows) * (field.q - 1) ** 2
+        lane = next(((size, fmt) for size, fmt in _LANES if top < 1 << 8 * size), None)
+        if lane is not None:
+            size, fmt = lane
+            self._packed = [
+                int.from_bytes(array(fmt, row).tobytes(), byteorder) for row in self.rows
+            ]
+            self._size = size * length
+            self._format = fmt
+            if fmt == "B":
+                self._residues = _residues(field.q)
+
+    def __call__(self, y):
+        packed = self._packed
+        if packed is None:
+            return _combine(self.field, self.rows, y, self.length)
+        lanes = sum(map(mul, y, packed)).to_bytes(self._size, byteorder)
+        if self._format == "B":
+            return tuple(lanes.translate(self._residues))
+        q = self.field.q
+        return tuple([x % q for x in memoryview(lanes).cast(self._format)])
 
 
 def row_reduce(field, rows):
@@ -397,15 +464,29 @@ class LinearCode:
             self._parity = tuple(kernel_basis(self.field, self.rref, self.n))
         return self._parity
 
+    @cached_property
+    def _encoder(self):
+        return _Product(self.field, self.generator, self.n)
+
+    @cached_property
+    def _checks(self):
+        """v -> v . H^T for the parity rows H: the syndrome, () when n = k."""
+        return _Product(self.field, zip(*self.parity_rows), self.n - self.k)
+
     def encode(self, message):
         if len(message) != self.k:
             raise ParameterError(f"message length {len(message)} != dimension {self.k}")
-        return _encode(self.field, self.generator, message, self.n)
+        self.field.validate_all(message)
+        return self._encoder(message)
 
-    def syndrome(self, v):
+    def _check_word(self, v):
         if len(v) != self.n:
             raise ParameterError(f"vector length {len(v)} != code length {self.n}")
-        return tuple(vec_dot(self.field, v, h) for h in self.parity_rows)
+        self.field.validate_all(v)
+
+    def syndrome(self, v):
+        self._check_word(v)
+        return self._checks(v)
 
     def contains(self, v):
         return not any(self.syndrome(v))
@@ -438,7 +519,7 @@ class LinearCode:
     # -- decoding ------------------------------------------------------
 
     def _build_syndrome_table(self, radius):
-        table = {self.syndrome((0,) * self.n): (0,) * self.n}
+        table = {self._checks((0,) * self.n): (0,) * self.n}
         nonzero = range(1, self.field.order)
         for w in range(1, radius + 1):
             for positions in combinations(range(self.n), w):
@@ -447,7 +528,7 @@ class LinearCode:
                     for p, val in zip(positions, values):
                         e[p] = val
                     e = tuple(e)
-                    s = self.syndrome(e)
+                    s = self._checks(e)
                     old = table.get(s)
                     if old is None or e < old:
                         table[s] = e
@@ -455,13 +536,12 @@ class LinearCode:
 
     def bmd_decode(self, r):
         """Unique codeword within (d-1)//2 of r, else FAIL (None)."""
-        if len(r) != self.n:
-            raise ParameterError(f"vector length {len(r)} != code length {self.n}")
+        self._check_word(r)
         radius = (self._decoding_distance() - 1) // 2
         if self.field.order ** (self.n - self.k) <= SYNDROME_TABLE_LIMIT:
             if self._syndrome_table is None:
                 self._syndrome_table = self._build_syndrome_table(radius)
-            e = self._syndrome_table.get(self.syndrome(r))
+            e = self._syndrome_table.get(self._checks(r))
             if e is None:
                 return FAIL
             return vec_sub(self.field, r, e)
@@ -477,8 +557,7 @@ class LinearCode:
     def erasure_decode(self, r, erased):
         """Errors-and-erasures decoding: unique codeword agreeing with r
         outside ``erased`` whenever 2e + s < d, else FAIL."""
-        if len(r) != self.n:
-            raise ParameterError(f"vector length {len(r)} != code length {self.n}")
+        self._check_word(r)
         erased = set(erased)
         if any(not 0 <= p < self.n for p in erased):
             raise ParameterError(f"erased positions {sorted(erased)} out of range")
@@ -502,11 +581,12 @@ class _KeptSet:
     """What every erasure trial keeping one coordinate set reuses.
 
     ``info`` is an information set inside the kept coordinates and
-    ``rows`` the k rows of M . G, for G the generator and M the inverse
-    of G on ``info``, so a word w re-encodes as w[info] . rows in one
-    product.  On the other kept coordinates, ``rest``, w minus its
-    re-encoding is w's syndrome in systematic form: it is linear in w and
-    zero exactly when w agrees with a codeword on every kept coordinate.
+    ``product`` the :class:`_Product` by the k rows of M . G, for G the
+    generator and M the inverse of G on ``info``, so a word w re-encodes
+    as w[info] . (M . G) in one product.  On the other kept coordinates,
+    ``rest``, w minus its re-encoding is w's syndrome in systematic form:
+    it is linear in w and zero exactly when w agrees with a codeword on
+    every kept coordinate.
 
     ``table`` maps the syndrome of each error pattern with at most
     ``radius`` nonzero kept symbols to (that number, the pattern's
@@ -515,18 +595,18 @@ class _KeptSet:
     code's words keeps the codeword scan instead, with ``table`` None.
     """
 
-    __slots__ = ("info", "rows", "rest", "radius", "table")
+    __slots__ = ("info", "product", "rest", "radius", "table")
 
-    def __init__(self, info, rows, rest):
+    def __init__(self, info, product, rest):
         self.info = info
-        self.rows = rows
+        self.product = product
         self.rest = rest
         self.radius = None
         self.table = None
 
-    def encode(self, field, word):
+    def encode(self, word):
         """The codeword that agrees with ``word`` on ``info``."""
-        return _combine(field, self.rows, [word[c] for c in self.info], len(word))
+        return self.product([word[c] for c in self.info])
 
     def syndrome(self, field, word, image):
         """``word`` minus its re-encoding ``image``, on ``rest``."""
@@ -540,10 +620,9 @@ def _kept_set(code, cols):
     if solver is None:
         return None
     info, inverse = solver
-    n = len(code.generator[0])
-    rows = tuple(_combine(code.field, code.generator, m, n) for m in inverse)
+    product = _Product(code.field, map(code._encoder, inverse), len(code.generator[0]))
     in_info = set(info)
-    return _KeptSet(info, rows, tuple(c for c in cols if c not in in_info))
+    return _KeptSet(info, product, tuple(c for c in cols if c not in in_info))
 
 
 def _pattern_count(q, widths, radius):
@@ -584,7 +663,7 @@ def _build_error_table(code, entry, kept, radius):
                 error = [0] * n
                 for (lo, hi), part in zip(chosen, parts):
                     error[lo:hi] = part
-                image = entry.encode(field, error)
+                image = entry.encode(error)
                 syndrome = entry.syndrome(field, error, image)
                 if syndrome in table:
                     raise DefectError(
@@ -640,7 +719,7 @@ def _erasures_core(code, erased, distance, received):
     if entry is None:
         return FAIL
     field = code.field
-    word = entry.encode(field, received)
+    word = entry.encode(received)
     e = (distance - 1 - s) // 2
     if e == 0:
         if any(word[c] != received[c] for c in entry.rest):
@@ -704,6 +783,10 @@ class PolyalphabeticCode:
     def n_symbols(self):
         return len(self.sizes)
 
+    @cached_property
+    def _encoder(self):
+        return _Product(self.field, self.generator, self.total_length)
+
     def symbols(self, v):
         return tuple(tuple(v[lo:hi]) for lo, hi in self._offsets)
 
@@ -714,7 +797,8 @@ class PolyalphabeticCode:
     def encode(self, message):
         if len(message) != self.k:
             raise ParameterError(f"message length {len(message)} != dimension {self.k}")
-        return _encode(self.field, self.generator, message, self.total_length)
+        self.field.validate_all(message)
+        return self._encoder(message)
 
     def codewords(self):
         return _stream_combinations(self.field, self.generator, self.total_length)
@@ -745,6 +829,7 @@ class PolyalphabeticCode:
         """Errors-and-erasures decoding over symbols; 2e + s < d contract."""
         if len(r) != self.total_length:
             raise ParameterError(f"vector length {len(r)} != code length {self.total_length}")
+        self.field.validate_all(r)
         erased = set(erased)
         if any(not 0 <= p < self.n_symbols for p in erased):
             raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
@@ -798,11 +883,16 @@ class NestedChain:
         self.quotient_rows = tuple(quotient)
         self.sub_basis = tuple(sub_basis)
         self.widths = tuple(len(q) for q in quotient)
-        # per level, the solver of y . (quotient rows + sub basis) = b; the
-        # rows are a basis of the level's code, so each has full rank
-        self._solvers = tuple(
-            _left_inverse(field, top + sub, range(n)) for top, sub in zip(quotient, sub_basis)
-        )
+        # per level, the solver of y . (quotient rows + sub basis) = b: an
+        # information set, the product by the inverse on it, and the
+        # product by the rows, whose leading rows are the quotient rows;
+        # the rows are a basis of the level's code, so each has full rank
+        solvers = []
+        for top, sub in zip(quotient, sub_basis):
+            info, inverse = _left_inverse(field, top + sub, range(n))
+            solve = _Product(field, inverse, len(inverse))
+            solvers.append((info, solve, _Product(field, top + sub, n)))
+        self._solvers = tuple(solvers)
 
     def __repr__(self):
         dims = "/".join(str(c.k) for c in self.codes)
@@ -810,22 +900,24 @@ class NestedChain:
 
     def quotient_encode(self, level, message):
         """Fixed coset representative of the level's quotient for ``message``."""
-        rows = self.quotient_rows[level]
-        if len(message) != len(rows):
+        width = self.widths[level]
+        if len(message) != width:
             raise ParameterError(
-                f"level {level + 1} message length {len(message)} != width {len(rows)}"
+                f"level {level + 1} message length {len(message)} != width {width}"
             )
-        return _encode(self.field, rows, message, self.n)
+        self.field.validate_all(message)
+        # a message of the level's width combines the leading rows: the quotient rows
+        return self._solvers[level][2](message)
 
     def quotient_message(self, level, b):
         """Recover the level message from any b in B_level; inverse of
         quotient_encode modulo the next subcode."""
         if len(b) != self.n:
             raise ParameterError(f"vector length {len(b)} != block length {self.n}")
-        rows = self.quotient_rows[level] + self.sub_basis[level]
-        info, inverse = self._solvers[level]
-        y = _combine(self.field, inverse, [b[c] for c in info], len(rows))
-        if _combine(self.field, rows, y, self.n) != tuple(b):
+        self.field.validate_all(b)
+        info, solve, encode = self._solvers[level]
+        y = solve([b[c] for c in info])
+        if encode(y) != tuple(b):
             raise ParameterError(f"vector is not in chain level {level + 1}")
         return y[: self.widths[level]]
 

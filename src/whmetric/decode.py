@@ -46,8 +46,9 @@ def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities):
             raise ParameterError("symbol widths do not match the outer code")
     if any(a < 0 for a in reliabilities):
         raise ParameterError("reliabilities must be non-negative")
-    d = outer._decoding_distance()
     received = tuple(x for sym in symbols for x in sym)
+    outer.field.validate_all(received)
+    d = outer._decoding_distance()
     # zero-width symbols carry no information and are never erased
     rank = sorted(
         range(m),
@@ -115,6 +116,7 @@ def gcc_decode(gcc: GccCode, received) -> DecodeReport:
     if len(received) != gcc.n:
         raise ParameterError(f"received word has length {len(received)}, code has {gcc.n}")
     field = gcc.field
+    field.validate_all(received)
     space = gcc.space
     ranges = space.block_ranges()
     residual = tuple(received)

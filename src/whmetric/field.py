@@ -34,6 +34,9 @@ from .errors import DefectError, ParameterError
 # fall back to per-operation polynomial arithmetic.
 _TABLE_LIMIT = 256
 
+# the element types Field.validate_all accepts without a per-value call
+_PLAIN_INTS = frozenset((int, bool))
+
 
 def _check_prime(q: int) -> None:
     if not isinstance(q, int) or q < 2:
@@ -129,6 +132,7 @@ class Field:
         self._neg_table = None
         self._mul_table = None
         self._inv_table = None
+        self._elements = None  # frozenset of the elements, with the tables
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -188,6 +192,7 @@ class Field:
         self._neg_table = list(rng) if q == 2 else [self._neg_raw(a) for a in rng]
         self._mul_table = [[0] * order] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self._inv_table = [None] + [exp[-la % n] for la in logs]
+        self._elements = frozenset(rng)
 
     # -- encoding ----------------------------------------------------
 
@@ -214,6 +219,19 @@ class Field:
     def validate(self, a: int) -> None:
         if not isinstance(a, int) or not 0 <= a < self.order:
             raise ParameterError(f"{a!r} is not an element of {self}")
+
+    def validate_all(self, values) -> None:
+        """:meth:`validate` each of a sequence of values: two C-level
+        passes, over the types and then the values, when all are valid."""
+        if _PLAIN_INTS.issuperset(map(type, values)):
+            elements = self._elements
+            if elements is not None:
+                if elements.issuperset(values):
+                    return
+            elif not values or (min(values) >= 0 and max(values) < self.order):
+                return
+        for a in values:
+            self.validate(a)
 
     def elements(self) -> range:
         return range(self.order)

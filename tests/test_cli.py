@@ -217,6 +217,19 @@ def test_decode_roundtrip_and_correction(tmp_path, capsys):
     assert report["codeword"] == [1, 1, 1, 0, 0, 1]
 
 
+def test_a_nul_byte_in_the_config_path_exits_2(tmp_path, capsys):
+    assert main(["analyze", "--config", str(tmp_path / "a\x00b"), "x.txt"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config" in err and "internal defect" not in err
+
+
+def test_a_nul_byte_in_the_word_file_path_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "two.cfg", TWO_BLOCK)
+    assert main(["decode", "--config", cfg, "a\x00b.txt"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read received word" in err and "internal defect" not in err
+
+
 def test_search_frontier_contains_recipe_point(tmp_path, capsys):
     cfg = write(
         tmp_path,

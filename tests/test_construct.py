@@ -2,6 +2,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     F2,
@@ -19,6 +21,8 @@ from whmetric.construct import (
     build_gcc,
     outer_code,
     pareto_frontier,
+    parse_code_spec,
+    parse_outer_spec,
     permute_symbols,
     poly_from_mother,
     search_constructions,
@@ -311,3 +315,56 @@ def test_rows_file_and_mother_menu_entries(tmp_path):
     assert {o for (_, o) in by_name} == {("mother:parity:2:1",), ("file:Rep2.txt",)}
     assert sum(o == ("file:Rep2.txt",) for (_, o) in by_name) == 1
     assert len(records) == 10
+
+
+def _rows_spec(rows):
+    return "rows:" + "|".join("".join(str(x) for x in row) for row in rows)
+
+
+def _nonzero_rows(draw, q, count, length):
+    entry = st.integers(0, q - 1)
+    rows = [draw(st.lists(entry, min_size=length, max_size=length)) for _ in range(count)]
+    rows[0][draw(st.integers(0, length - 1))] = 1
+    return rows
+
+
+@st.composite
+def small_gccs(draw):
+    """A GCC over F2 or F3 on two blocks of length 3-4, built from spec
+    strings: a family or rows: spec per block, a rows: spec of its own
+    codewords one level down, and a full, mother: or rows: outer spec
+    per level.  Combinations the grammar refuses are rejected."""
+    q = draw(st.sampled_from((2, 3)))
+    field = make_prime_field(q)
+    blocks = (draw(st.integers(3, 4)), draw(st.integers(3, 4)))
+    space = WeightedSpace(q, blocks, (1, draw(st.integers(1, 3))))
+    levels = draw(st.integers(1, 2))
+    chains = []
+    for b in blocks:
+        families = ["full", "parity", "repetition"] + ["hamming"] * ((q, b) in ((2, 3), (3, 4)))
+        rows = _nonzero_rows(draw, q, draw(st.integers(1, b)), b)
+        top = parse_code_spec(field, draw(st.sampled_from(families + [_rows_spec(rows)])), b)
+        codes = [top]
+        if levels == 2:
+            messages = _nonzero_rows(draw, q, draw(st.integers(1, 2)), top.k)
+            codes.append(parse_code_spec(field, _rows_spec(top.encode(m) for m in messages), b))
+        chains.append(NestedChain(codes))
+    outers = []
+    for j in range(levels):
+        widths = tuple(chain.widths[j] for chain in chains)
+        rows = _nonzero_rows(draw, q, draw(st.integers(1, 2)), max(1, sum(widths)))
+        specs = ["full", "mother:repetition:2:1", "mother:rs:2:1", _rows_spec(rows)]
+        try:
+            outers.append(parse_outer_spec(field, draw(st.sampled_from(specs)), widths))
+        except ParameterError:
+            assume(False)
+    return space, build_gcc(space, chains, outers)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(small_gccs())
+def test_the_floors_bound_the_exact_capability_and_distance(case):
+    space, gcc = case
+    code = gcc.as_linear_code()
+    assert gcc.capability_floor <= exact_capability(code, space)
+    assert gcc.designed_distance <= exact_min_weighted_distance(code, space)

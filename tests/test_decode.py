@@ -1,3 +1,6 @@
+import hashlib
+import os
+import random
 from functools import lru_cache
 from itertools import product
 
@@ -13,6 +16,7 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
+from whmetric import cli
 from whmetric.code import FAIL, Limits, NestedChain, PolyalphabeticCode, named_code
 from whmetric.construct import build_gcc, outer_code
 from whmetric.decode import gcc_decode, gmd_decode
@@ -266,3 +270,47 @@ def test_errors_within_the_floor_are_corrected(name, data):
     noisy = tuple((a + e) % q for a, e in zip(word, error))
     report = gcc_decode(gcc, noisy)
     assert report.ok and report.codeword == word
+
+
+PERFBENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs")
+
+# Recorded at the commit before the decoders' products were packed into
+# integer lanes (whose outputs must be byte-identical), from the stream
+# that _pinned_stream draws below.
+PINNED_REPORTS_SHA256 = "558a798a63f10c7e67e4a7be94c9003be2a24e5528b22881d2ad2600f0018242"
+
+
+def _pinned_stream(rng, gcc, count):
+    """``count`` (sent, received, beyond) triples: a random codeword plus
+    an error whose weight is filled, in a random coordinate order, up to
+    a budget of 0..floor, or floor+1..floor+2 for one word in four."""
+    space = gcc.space
+    q, floor = space.q, gcc.capability_floor
+    out = []
+    for i in range(count):
+        message = tuple(rng.randrange(q) for _ in range(gcc.k))
+        sent = gcc.encode(gcc.split_message(message))
+        beyond = i % 4 == 3
+        budget = rng.randint(floor + 1, floor + 2) if beyond else rng.randint(0, floor)
+        order = list(range(gcc.n))
+        rng.shuffle(order)
+        error = [0] * gcc.n
+        for p in order:
+            error[p] = rng.randrange(1, q)
+            if space.vector_weight(error) > budget:
+                error[p] = 0
+        out.append((sent, tuple((a + e) % q for a, e in zip(sent, error)), beyond))
+    return out
+
+
+def test_decode_reports_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for tag in ("rs4", "hc", "q7"):
+        cfg = cli.parse_config(os.path.join(PERFBENCH_CONFIGS, f"{tag}.cfg"))
+        gcc = cli.build_gcc_from_config(cfg)
+        for sent, received, beyond in _pinned_stream(random.Random(f"pinned/{tag}"), gcc, 50):
+            report = gcc_decode(gcc, received)
+            if not beyond:
+                assert report.ok and report.codeword == sent
+            digest.update(report.to_json().encode())
+    assert digest.hexdigest() == PINNED_REPORTS_SHA256

@@ -118,10 +118,10 @@ def test_cached_erasure_solves_match_brute_force(case):
             entry = code._solvers[cols]
             assert (entry is None) == deficient
             if entry is not None:  # re-encoding through the stored rows is the identity on info
-                assert set(entry.info) <= set(cols) and len(entry.rows) == code.k
+                assert set(entry.info) <= set(cols) and len(entry.product.rows) == code.k
                 assert set(entry.rest) == set(cols) - set(entry.info)
                 for c in codewords:
-                    assert entry.encode(code.field, c) == c
+                    assert entry.encode(c) == c
 
 
 # -- trials that allow errors: one error table per kept-coordinate set ----------
