@@ -15,10 +15,19 @@ minors a single common denominator would carry (Edmonds' integer
 pivoting, the simplex form of Bareiss elimination) share a large power
 of q; lowest terms keep the integers at the size of the answer.  Each
 input row is divided once, at set-up, by the gcd of its coefficients
-and right-hand side.  Pivots follow Dantzig's rule for speed and switch
-to Bland's rule whenever the objective stalls on degenerate pivots, so
-termination stays guaranteed.  Both rules, and the ratio test, compare
-entries of one row, so the denominators never enter a pivot choice.
+and right-hand side.
+
+The entering column is chosen by steepest edge (Forrest and Goldfarb,
+Math. Programming 1992): among the columns with a negative reduced cost
+c_j, the largest c_j^2 / (1 + |B^-1 a_j|^2), its norm recomputed from
+the tableau at every pivot.  That ranking is the one place floats
+appear; they only choose among columns that all improve the objective,
+so every value returned or certified stays exact, and they are formed
+with correctly rounded division, ``+`` and ``*`` in a fixed order, so
+the pivot path is the same on every IEEE-754 platform.  Whenever the
+objective stalls on degenerate pivots the entering rule switches to
+Bland's, so termination stays guaranteed.  The leaving row is the exact
+minimum ratio, compared within each row, where its denominator cancels.
 
 One program can also be solved as a sweep (:func:`solve_sweep`): a
 sequence of stages, each keeping more of its columns and fixing the
@@ -125,6 +134,35 @@ def _pivot(tableau, dens, pr, pc):
 _STALL_LIMIT = 32
 
 
+def _steepest_edge(body, dens, obj, candidates):
+    """The entering column of largest c_j^2 / (1 + |B^-1 a_j|^2) among
+    ``candidates`` (variable, column) pairs, ties to the lowest variable;
+    None when an entry is too large for a float.
+
+    Floats only rank columns that all improve the objective, so the pivot
+    stays exact whatever they round to, an infinite or NaN score
+    included.  Each entry is one correctly rounded ``int / int``
+    division, and each column's norm is summed in row order with ``+``
+    and ``*`` alone, so every IEEE-754 platform takes the same pivots.
+    """
+    best = None
+    try:
+        for v, j in candidates:
+            norm = 1.0
+            for row, d in zip(body, dens):
+                a = row[j]
+                if a:
+                    r = a / d
+                    norm += r * r
+            c = obj[j] / dens[-1]
+            score = c * c / norm
+            if best is None or score > best[0] or (score == best[0] and v < best[1]):
+                best = score, v, j
+    except OverflowError:
+        return None
+    return best[2]
+
+
 def _simplex(tableau, dens, basic, nonbasic):
     """Continue the primal simplex from the basic feasible ``tableau``.
 
@@ -132,12 +170,17 @@ def _simplex(tableau, dens, basic, nonbasic):
     column per nonbasic variable (``nonbasic[j]``), then the rhs, row i
     over the positive denominator ``dens[i]``; the last row is the
     objective row (reduced costs, then the objective value), and every
-    row and denominator is updated in place.  Pivots use Dantzig's rule
-    (most negative reduced cost) for speed, falling back to Bland's rule
-    while the objective is stalled on degenerate pivots, which keeps the
-    termination guarantee; ties go to the lowest variable.  Ratios are
-    compared by cross-multiplying within each row, where the row's
-    denominator cancels.  Returns "optimal" or "unbounded".
+    row and denominator is updated in place.  The entering column is
+    chosen by steepest edge (Forrest and Goldfarb 1992), its norms
+    recomputed in floats from the tableau at every pivot; the pivot
+    falls back to Bland's rule (the lowest improving variable) while the
+    objective is stalled on degenerate pivots, which keeps the
+    termination guarantee, and wherever a division would overflow a
+    float.
+    The leaving row is the exact minimum ratio, ties to the lowest basic
+    variable; ratios are compared by cross-multiplying within each row,
+    where the row's denominator cancels.  Returns "optimal" or
+    "unbounded".
     """
     body = tableau[:-1]
     obj = tableau[-1]
@@ -146,10 +189,11 @@ def _simplex(tableau, dens, basic, nonbasic):
         candidates = [(v, j) for j, v in enumerate(nonbasic) if obj[j] < 0]
         if not candidates:
             return "optimal"
-        if stalled >= _STALL_LIMIT:
+        enter = None
+        if stalled < _STALL_LIMIT:
+            enter = _steepest_edge(body, dens, obj, candidates)
+        if enter is None:
             enter = min(candidates)[1]
-        else:
-            enter = min(candidates, key=lambda vj: (obj[vj[1]], vj[0]))[1]
         leave = None
         for i, row in enumerate(body):
             a = row[enter]

@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from whmetric import ratlp
-from whmetric.bounds import build_bound_table
+from whmetric.bounds import build_bound_table, lp_bound_detail
 from whmetric.errors import DefectError, ParameterError
 from whmetric.metric import WeightedSpace
 from whmetric.ratlp import LinearProgram, solve_max, solve_sweep
@@ -29,6 +29,14 @@ def pivots(monkeypatch):
 
     monkeypatch.setattr(ratlp, "_pivot", checked)
     return calls
+
+
+@pytest.fixture(params=(ratlp._STALL_LIMIT, 0), ids=("default", "bland"))
+def stall_limit(request, monkeypatch):
+    """Solve under the default stall limit, and under 0, where every pivot
+    follows Bland's rule (steepest edge seldom stalls that long on small
+    programs, so the fallback needs a run of its own)."""
+    monkeypatch.setattr(ratlp, "_STALL_LIMIT", request.param)
 
 
 def test_single_variable_box():
@@ -144,7 +152,7 @@ def _vertex_optimum(objective, le_rows):
     return best
 
 
-def test_random_small_programs_match_vertex_enumeration(pivots):
+def test_random_small_programs_match_vertex_enumeration(pivots, stall_limit):
     rng = random.Random(424242)
     for case in range(200):
         nvars = rng.choice((2, 3))
@@ -197,6 +205,40 @@ def test_tampered_dual_is_rejected(dual, reason):
         ratlp._verify(lp, *_certificate(res.solution, dual))
 
 
+# -- pricing: floats only rank the entering columns ---------------------------
+
+
+def test_beale_cycling_example(stall_limit):
+    # Beale (1955) in integer form, the textbook example on which
+    # Dantzig's rule can cycle
+    lp = LinearProgram(
+        objective=[3, -80, 2, -24],
+        rows=[([1, -32, -4, 36], 0), ([1, -24, -1, 6], 0), ([0, 0, 1, 0], 1)],
+    )
+    res = solve_max(lp)
+    assert res.value == 5
+    ratlp._verify(lp, *_certificate(res.solution, res.dual))
+
+
+_HUGE = 2**1100  # beyond any float: pricing cannot divide it into one
+
+
+@pytest.mark.parametrize(
+    "objective, rows, value",
+    (
+        ([1, 1], [([_HUGE, 1], _HUGE), ([1, _HUGE], _HUGE)], Fraction(2 * _HUGE, _HUGE + 1)),
+        ([_HUGE, 1], [([1, 1], 5), ([1, 2], 7)], 5 * _HUGE),
+    ),
+    ids=("huge-rows", "huge-objective"),
+)
+def test_pricing_never_overflows(objective, rows, value):
+    lp = LinearProgram(objective=objective, rows=rows)
+    res = solve_max(lp)
+    assert res.status == "optimal"
+    assert res.value == value
+    ratlp._verify(lp, *_certificate(res.solution, res.dual))
+
+
 # -- sweeps: columns unlocked in stages ----------------------------------------
 
 
@@ -207,7 +249,7 @@ def _restricted(lp, stage):
     )
 
 
-def test_sweep_stages_match_cold_solves(pivots):
+def test_sweep_stages_match_cold_solves(pivots, stall_limit):
     rng = random.Random(717171)
     for case in range(150):
         nvars = rng.randint(2, 7)
@@ -282,10 +324,19 @@ def test_bound_sweep_keeps_rows_in_lowest_terms(pivots):
     assert len(pivots) > 10
 
 
-@pytest.mark.parametrize("q, count", ((2, 606), (7, 106)), ids=("q2", "q7"))
-def test_bound_table_pivot_path(pivots, q, count):
-    # the same counts as a tableau over one common denominator: every
-    # pivot choice compares entries within one row, where the row's
-    # denominator cancels
-    build_bound_table(WeightedSpace(q, (7, 7), (1, 2)), 0, 10)
+@pytest.mark.parametrize(
+    "solve, count",
+    (
+        (lambda: build_bound_table(WeightedSpace(2, (7, 7), (1, 2)), 0, 10), 320),
+        (lambda: build_bound_table(WeightedSpace(7, (7, 7), (1, 2)), 0, 10), 92),
+        (lambda: build_bound_table(WeightedSpace(2, (7, 7, 7), (1, 2, 3)), 13, 16), 30),
+        (lambda: lp_bound_detail(WeightedSpace(2, (7, 7), (1, 2)), 3), 63),
+        (lambda: lp_bound_detail(WeightedSpace(7, (7, 7), (1, 2)), 1), 96),
+    ),
+    ids=("q2", "q7", "three-blocks-q2", "cold-q2-t3", "cold-q7-t1"),
+)
+def test_bound_table_pivot_path(pivots, solve, count):
+    # Steepest edge ranks columns by float norms; the exact counts pin
+    # that ranking, so a platform that rounded differently would fail here
+    solve()
     assert len(pivots) == count
