@@ -7,7 +7,10 @@ exact values by enumerating every codeword, and can verify the decoder
 against every error pattern inside the promised radius.
 """
 
+from itertools import combinations, product
+
 from whmetric import (
+    LinearCode,
     NestedChain,
     PolyalphabeticCode,
     WeightedSpace,
@@ -55,3 +58,15 @@ print(
     f"\nbounds at t={t}: covering {covering_bound(space, t)} <= k={gcc.k} <= "
     f"packing {packing_bound(space, t)}, singleton {singleton_k_for_t(space, t)}"
 )
+
+# A low-rate code at size: the [32, 16] Reed-Muller code RM(2, 5), the
+# evaluations of the monomials of degree <= 2 in five variables.  It is
+# its own dual, so its split weight enumerator is scanned directly, over
+# all 2^16 codewords, and d and t are read from that one scan.
+points = list(product((0, 1), repeat=5))
+monomials = [()] + [(i,) for i in range(5)] + list(combinations(range(5), 2))
+rm = LinearCode(F2, [tuple(int(all(x[i] for i in mono)) for x in points) for mono in monomials])
+halves = WeightedSpace(q=2, blocks=(16, 16), scales=(1, 2))
+d = exact_min_weighted_distance(rm, halves)
+t = exact_capability(rm, halves)
+print(f"\nRM(2, 5) = [{rm.n}, {rm.k}] on {halves}: {2**rm.k} codewords scanned, d = {d}, t = {t}")

@@ -39,11 +39,12 @@ refuses a word with a symbol outside the field first
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
-from operator import mul
+from operator import mul, xor
 from struct import calcsize
 from sys import byteorder
 
@@ -304,17 +305,93 @@ def krawtchouk(q: int, n: int, j: int, i: int) -> int:
     return out
 
 
+@cache
+def _krawtchouk_table(q, b):
+    return tuple(tuple(krawtchouk(q, b, j, i) for i in range(b + 1)) for j in range(b + 1))
+
+
 def krawtchouk_tables(q, blocks):
-    """Per block of length b, the (b + 1) x (b + 1) table K[j][i] = K_j(i)."""
-    return [[[krawtchouk(q, b, j, i) for i in range(b + 1)] for j in range(b + 1)] for b in blocks]
+    """Per block of length b, the (b + 1) x (b + 1) table K[j][i] = K_j(i),
+    built once per (q, b)."""
+    return [_krawtchouk_table(q, b) for b in blocks]
 
 
-def _profile_counts(words, ranges):
-    """Map block profile -> number of ``words`` with it."""
-    counts = {}
-    for c in words:
-        profile = tuple([hi - lo - c[lo:hi].count(0) for lo, hi in ranges])
-        counts[profile] = counts.get(profile, 0) + 1
+# the longest run of steps of a Gray code's low digits kept as one list,
+# and the number of words whose profiles are counted as one batch
+_GRAY_RUN = 1 << 12
+_SCAN_BATCH = 1 << 12
+
+
+def _gray_steps(p, k):
+    """The digit that the modular p-ary Gray code on k digits increments,
+    by one, at each step t = 1 .. p^k - 1: the p-adic valuation of t.
+
+    The steps of the low digits, a run of p^low - 1, repeat between any
+    two steps of the high digits, so the run is one list.
+    """
+    low = min(k, 1)
+    while low < k and p ** (low + 1) <= _GRAY_RUN:
+        low += 1
+    run = []
+    for i in range(low):
+        run = (run + [i]) * (p - 1) + run
+    if low == k:
+        return run
+    high = _gray_steps(p, k - low)
+    return chain(run, chain.from_iterable(chain((j + low,), run) for j in high))
+
+
+def _packed_counts(field, rows, blocks):
+    """Map block profile -> number of words in the span of the
+    independent ``rows``, by one packed scan in Gray-code order.
+
+    Over F_(p^m) a word is one integer with ``width`` bits per
+    coordinate: the m base-p digits of the coordinate's element
+    (:meth:`~whmetric.field.Field.expand`) in lanes of ``lane`` bits, low
+    digit lowest, and a flag bit above them.  The F_(p^m)-span of the rows
+    is the F_p-span of beta * row for the k m pairs of a row and a beta =
+    p^i, i < m (the polynomial basis), each packed once.  The scan visits
+    the p^(k m) words in the order of the modular p-ary Gray code, so each
+    word is the last one plus one packed row: their XOR when p = 2.  For
+    odd p a lane has a guard bit above its digit; after the integer sum,
+    adding 2^digit - p to every lane sets the guard of each lane whose
+    digit sum reached p, and p is taken from those lanes.  Adding
+    2^(m lane) - 1 to each coordinate then carries into its flag exactly
+    when one of its lanes is nonzero, and a block's count is the
+    ``bit_count`` of its flags.
+    """
+    p, m = field.q, field.m
+    digit = (p - 1).bit_length()
+    lane = digit if p == 2 else digit + 1
+    width = m * lane + 1
+    n = sum(blocks)
+    scaled = [[field.mul(p**i, x) for x in row] if i else row for row in rows for i in range(m)]
+    cells = {  # element -> its coordinate's bits, high bit first, flag clear
+        x: "0" + "".join([format(d, f"0{lane}b") for d in reversed(field.expand(x))])
+        for x in set(chain.from_iterable(scaled))
+    }
+    basis = [int("".join(map(cells.__getitem__, reversed(row))), 2) for row in scaled]
+    ones = int(("0" + "1" * (width - 1)) * n, 2)
+    flags = int(("1" + "0" * (width - 1)) * n, 2)
+    masks, start = [], 0
+    for b in blocks:
+        masks.append(flags & ((1 << b * width) - 1) << start * width)
+        start += b
+    if p == 2:
+        add = xor
+    else:
+        excess = int(("0" + format(2**digit - p, f"0{lane}b") * m) * n, 2)
+        guards = int(("0" + ("1" + "0" * digit) * m) * n, 2)
+
+        def add(word, row):
+            total = word + row
+            return total - (((total + excess) & guards) >> digit) * p
+
+    words = accumulate(map(basis.__getitem__, _gray_steps(p, len(basis))), add, initial=0)
+    flagged = map(ones.__add__, words)
+    counts = Counter()
+    while batch := list(islice(flagged, _SCAN_BATCH)):
+        counts.update(zip(*[map(int.bit_count, map(mask.__and__, batch)) for mask in masks]))
     return counts
 
 
@@ -379,11 +456,12 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     Admission compares the code's q^k words with ``limits.max_codewords``
     on every call.  The work then goes to the smaller side: the code's
     q^k words, or the dual's q^(n-k) words plus the P profiles the
-    transform fills, each of which costs about what one scanned word
-    does.  A space of many short blocks has so many profiles that it
-    keeps the direct scan.  The dual's counts are mapped to the code's
-    by :func:`_macwilliams`, in integers and checked, with q the order
-    of the code's field.  The counts are kept on the code, once per
+    transform fills, each profile counted as one scanned word.  A space
+    of many short blocks has so many profiles that it keeps the direct
+    scan.  Either side is counted by one :func:`_packed_counts` scan of
+    its basis.  The dual's counts are mapped to the code's by
+    :func:`_macwilliams`, in integers and checked, with q the order of
+    the code's field.  The counts are kept on the code, once per
     ``blocks``, and each call returns a copy.
     """
     blocks = tuple(blocks)
@@ -403,18 +481,10 @@ def _split_counts(code, blocks, size):
     field = code.field
     q = field.order
     n = len(code.generator[0])
-    ranges, start = [], 0
-    for b in blocks:
-        ranges.append((start, start + b))
-        start += b
     r = n - code.k
     if q**r + prod(b + 1 for b in blocks) >= size:
-        return dict(sorted(_profile_counts(code.codewords(), ranges).items()))
-    if r == 0:  # the dual of the whole space is the zero word alone
-        dual_counts = {(0,) * len(blocks): 1}
-    else:
-        dual = LinearCode(field, kernel_basis(field, code.generator, n))
-        dual_counts = _profile_counts(dual.codewords(), ranges)
+        return dict(sorted(_packed_counts(field, code.generator, blocks).items()))
+    dual_counts = _packed_counts(field, kernel_basis(field, code.generator, n), blocks)
     return _macwilliams(q, blocks, dual_counts, q**r, size)
 
 
@@ -438,8 +508,7 @@ class LinearCode:
         if n < 1 or any(len(r) != n for r in rows):
             raise ParameterError("generator rows must be non-empty and equally long")
         for r in rows:
-            for x in r:
-                field.validate(x)
+            field.validate_all(r)
         keep = independent_rows(field, rows)
         if not keep:
             raise ParameterError("generator matrix has rank 0")
@@ -757,8 +826,7 @@ class PolyalphabeticCode:
         if not rows or any(len(r) != total for r in rows):
             raise ParameterError(f"generator rows must all have length {total}")
         for r in rows:
-            for x in r:
-                field.validate(x)
+            field.validate_all(r)
         keep = independent_rows(field, rows)
         if not keep:
             raise ParameterError("generator matrix has rank 0")

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -37,6 +38,19 @@ def test_make_code_basics():
         LinearCode(F2, [])
     with pytest.raises(ParameterError):
         LinearCode(F2, [(0, 0, 0)])
+
+
+@pytest.mark.parametrize("field", [F2, make_extension_field(2, 9)])  # tables, and none
+@pytest.mark.parametrize("bad", [-1, "q", 1.5, "1"])
+def test_generator_symbols_outside_the_field_are_refused(field, bad):
+    # the first bad entry in row order is named, past a later one of another kind
+    bad = field.order if bad == "q" else bad
+    rows = [(1, 0, 1), (0, 1, bad), (-7, 0, 0)]
+    message = re.escape(f"{bad!r} is not an element of {field}")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        LinearCode(field, rows)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        PolyalphabeticCode(field, (1, 2), rows)
 
 
 def test_vandermonde_code_distance():

@@ -1,15 +1,19 @@
 """The split weight enumerator against a brute-force reference.
 
-The reference streams every codeword and counts per-block nonzero
-coordinates directly, so it shares nothing with the Krawtchouk
-coefficients the enumerator uses when it scans the dual instead.
+The reference streams every codeword as a tuple and counts per-block
+nonzero coordinates directly, so it shares nothing with the packed
+Gray-code scan or with the Krawtchouk coefficients the enumerator uses
+when it scans the dual instead.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import F2, F3, F7
+from whmetric import code as code_module
 from whmetric.code import (
     Limits,
     LinearCode,
@@ -25,9 +29,13 @@ from whmetric.oracle import block_weight_enumerator, exact_capability, exact_min
 
 F4 = make_extension_field(2, 2)
 F5 = make_prime_field(5)
+F8 = make_extension_field(2, 3)
+F9 = make_extension_field(3, 2)
 
 # Longest code per field order whose brute-force scan stays small.
 MAX_LENGTH = {2: 12, 3: 8, 4: 6, 5: 5, 7: 4}
+# Largest dimension per field order for the packed scan's property.
+MAX_DIMENSION = {2: 10, 3: 6, 4: 5, 5: 4, 7: 3, 8: 3, 9: 3}
 
 
 def brute_force_enumerator(code, blocks):
@@ -100,44 +108,100 @@ def test_polyalphabetic_with_a_zero_width_symbol():
     assert poly.min_block_distance() == fewest
 
 
+@st.composite
+def spans_and_blocks(draw):
+    """Rows over a field, a split of their length into up to four blocks,
+    zero-width blocks included, and the linear or polyalphabetic code
+    they generate, whose symbols are those blocks."""
+    field = draw(st.sampled_from((F2, F3, F5, F7, F4, F8, F9)))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, MAX_DIMENSION[field.order])))
+    entry = st.integers(0, field.order - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    if not any(map(any, rows)):
+        rows[0][0] = 1
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    blocks = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    if draw(st.booleans()):
+        return PolyalphabeticCode(field, blocks, rows), blocks
+    return LinearCode(field, rows), blocks
+
+
+def _double_circulant(k, first):
+    """The binary [2k, k] code [I | C] for C the circulant of ``first``."""
+    return LinearCode(
+        F2,
+        [[int(i == j) for j in range(k)] + first[-i:] + first[:-i] for i in range(k)],
+    )
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(spans_and_blocks())
+@example((PolyalphabeticCode(F3, (2, 0, 3), [(1, 0, 1, 1, 0), (0, 1, 2, 0, 1)]), (2, 0, 3)))
+@example((LinearCode(F9, [(1, 2, 3, 4), (0, 1, 5, 8)]), (0, 4, 0)))
+@example((LinearCode(F8, [(1, 7, 3, 5, 0)]), (5,)))
+@example((_double_circulant(14, [1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0]), (7, 7, 7, 7)))
+@example(
+    (
+        LinearCode(F3, [[int(i == j) for j in range(8)] + [i % 3, (i * i + 1) % 3] for i in range(8)]),
+        (0, 5, 5),
+    )
+)
+def test_packed_scan_matches_brute_force(case):
+    code, blocks = case
+    packed = code_module._packed_counts(code.field, code.generator, blocks)
+    assert packed == brute_force_enumerator(code, blocks)
+
+
+@pytest.mark.parametrize("p, k", [(2, 14), (3, 9), (5, 6), (7, 5), (7, 1), (7, 0)])
+def test_gray_steps_are_p_adic_valuations(p, k):
+    # past 4096 words the low digits' run repeats between the high steps
+    def valuation(t):
+        return 0 if t % p else 1 + valuation(t // p)
+
+    assert list(code_module._gray_steps(p, k)) == [valuation(t) for t in range(1, p**k)]
+
+
 def _count_scanned(monkeypatch):
-    scanned = []
-    original = LinearCode.codewords
+    """Record the rows and the number of words of each packed scan."""
+    scans = []
+    original = code_module._packed_counts
 
-    def counting(self):
-        for c in original(self):
-            scanned.append(c)
-            yield c
+    def counting(field, rows, blocks):
+        counts = original(field, rows, blocks)
+        scans.append((list(rows), sum(counts.values())))
+        return counts
 
-    monkeypatch.setattr(LinearCode, "codewords", counting)
-    return scanned
+    monkeypatch.setattr(code_module, "_packed_counts", counting)
+    return scans
 
 
 def test_high_rate_code_is_counted_from_its_dual(monkeypatch):
     ham = named_code("hamming", F2, 15, 11)
     space = WeightedSpace(2, (7, 8), (1, 2))
     expected = brute_force_enumerator(ham, space.blocks)
-    scanned = _count_scanned(monkeypatch)
+    scans = _count_scanned(monkeypatch)
     assert block_weight_enumerator(ham, space) == expected
-    assert len(scanned) == 16  # the [15, 4] dual, against 2048 codewords
-    assert all(vec_dot(F2, g, h) == 0 for g in ham.generator for h in scanned)
+    [(rows, words)] = scans
+    assert words == 16  # the [15, 4] dual, against 2048 codewords
+    assert all(vec_dot(F2, g, h) == 0 for g in ham.generator for h in rows)
 
 
 def test_low_rate_code_is_scanned_directly(monkeypatch):
     rep = named_code("repetition", F3, 6, 1)
-    scanned = _count_scanned(monkeypatch)
+    scans = _count_scanned(monkeypatch)
     assert split_weight_enumerator(rep, (2, 4)) == {(0, 0): 1, (2, 4): 2}
-    assert len(scanned) == 3
+    assert scans == [(list(rep.generator), 3)]
 
 
 def _tamper_dual_scan(monkeypatch, tamper):
-    original = LinearCode.codewords
-    monkeypatch.setattr(LinearCode, "codewords", lambda self: tamper(list(original(self))))
+    original = code_module._packed_counts
+    monkeypatch.setattr(code_module, "_packed_counts", lambda *args: tamper(original(*args)))
 
 
 def test_a_dual_scan_with_a_word_too_many_is_a_defect(monkeypatch):
     ham = named_code("hamming", F3, 13, 10)
-    _tamper_dual_scan(monkeypatch, lambda words: words + words[:1])
+    _tamper_dual_scan(monkeypatch, lambda counts: counts + Counter({(0, 0): 1}))
     with pytest.raises(DefectError):
         split_weight_enumerator(ham, (6, 7))
 
@@ -145,8 +209,12 @@ def test_a_dual_scan_with_a_word_too_many_is_a_defect(monkeypatch):
 def test_a_dual_scan_with_a_wrong_word_is_a_defect(monkeypatch):
     # the totals still match: one nonzero word swapped for a unit vector
     ham = named_code("hamming", F3, 13, 10)
-    unit = (1,) + (0,) * 12
-    _tamper_dual_scan(monkeypatch, lambda words: words[:-1] + [unit])
+    swap = Counter({(1, 0): 1})
+
+    def tamper(counts):
+        return counts - Counter({max(counts): 1}) + swap
+
+    _tamper_dual_scan(monkeypatch, tamper)
     with pytest.raises(DefectError, match="MacWilliams transform gives"):
         split_weight_enumerator(ham, (6, 7))
 

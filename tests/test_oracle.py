@@ -121,13 +121,13 @@ def test_distance_and_capability_share_one_scan(monkeypatch):
     space, gcc = three_block_code()
     code = gcc.as_linear_code()
     scans = []
-    count = code_module._profile_counts
+    count = code_module._packed_counts
 
-    def counted(words, ranges):
-        scans.append(ranges)
-        return count(words, ranges)
+    def counted(field, rows, blocks):
+        scans.append(blocks)
+        return count(field, rows, blocks)
 
-    monkeypatch.setattr(code_module, "_profile_counts", counted)
+    monkeypatch.setattr(code_module, "_packed_counts", counted)
     assert exact_min_weighted_distance(code, space) == 6
     assert exact_capability(code, space) == 2
     assert len(scans) == 1
