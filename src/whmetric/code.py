@@ -232,7 +232,13 @@ def independent_rows(field, rows):
 
 def kernel_basis(field, rows, ncols):
     """Basis of the right kernel {h : r . h = 0 for every row r}."""
-    rref, pivots = row_reduce(field, rows)
+    return _rref_kernel(field, *row_reduce(field, rows), ncols)
+
+
+def _rref_kernel(field, rref, pivots, ncols):
+    """Basis of the right kernel of ``rref``, a reduced row echelon form
+    with pivot columns ``pivots``: one vector per free column, read off
+    without elimination."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -417,8 +423,8 @@ def _macwilliams(q, blocks, dual_counts, dual_size, size):
             for first in range(base, base + stride):
                 fiber = values[first : first + span : stride]
                 if any(fiber):
-                    for j, row in enumerate(table):
-                        out[first + j * stride] = sum([k * x for k, x in zip(row, fiber)])
+                    sums = [sum(map(mul, row, fiber)) for row in table]
+                    out[first : first + span : stride] = sums
         values = out
         stride = span
     counts = {}
@@ -477,14 +483,21 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
 
 def _split_counts(code, blocks, size):
     """The profile counts of the ``size`` words of ``code``, scanned on
-    whichever of the code and its dual is cheaper."""
+    whichever of the code and its dual is cheaper.
+
+    The dual's basis is the code's cached ``parity_rows`` (a
+    :class:`LinearCode` reads them off the reduced generator it already
+    holds), so a dual scan does no elimination of its own.  The
+    capability is reduced from the counts by a walk in increasing
+    weighted weight w that stops once floor((w - 1) / 2), the bottom of a
+    profile's bracket floor((w - 1) / 2) <= cap <= w - 1, reaches the
+    least capability found (:func:`whmetric.oracle.exact_capability`)."""
     field = code.field
     q = field.order
-    n = len(code.generator[0])
-    r = n - code.k
+    r = len(code.generator[0]) - code.k
     if q**r + prod(b + 1 for b in blocks) >= size:
         return dict(sorted(_packed_counts(field, code.generator, blocks).items()))
-    dual_counts = _packed_counts(field, kernel_basis(field, code.generator, n), blocks)
+    dual_counts = _packed_counts(field, code.parity_rows, blocks)
     return _macwilliams(q, blocks, dual_counts, q**r, size)
 
 
@@ -517,7 +530,6 @@ class LinearCode:
         self.generator = tuple(keep)
         self.k = len(keep)
         self.rref, self.pivots = row_reduce(field, keep)
-        self._parity = None
         self._distance = None
         self._enumerators = {}
         self._syndrome_table = None
@@ -527,11 +539,10 @@ class LinearCode:
     def __repr__(self):
         return f"LinearCode([{self.n}, {self.k}] over {self.field!r})"
 
-    @property
+    @cached_property
     def parity_rows(self):
-        if self._parity is None:
-            self._parity = tuple(kernel_basis(self.field, self.rref, self.n))
-        return self._parity
+        """A basis of the dual code, read off the reduced generator."""
+        return tuple(_rref_kernel(self.field, self.rref, self.pivots, self.n))
 
     @cached_property
     def _encoder(self):
@@ -808,6 +819,15 @@ def _erasures_core(code, erased, distance, received):
 # -- polyalphabetic codes ---------------------------------------------------
 
 
+def _symbol_sizes(sizes):
+    sizes = tuple(int(s) for s in sizes)
+    if any(s < 0 for s in sizes):
+        raise ParameterError("symbol sizes must be non-negative")
+    if sum(sizes) < 1:
+        raise ParameterError("total length must be positive")
+    return sizes
+
+
 class PolyalphabeticCode:
     """An F_q-linear code whose coordinates group into symbols of given sizes.
 
@@ -816,12 +836,8 @@ class PolyalphabeticCode:
     """
 
     def __init__(self, field: Field, sizes, rows):
-        sizes = tuple(int(s) for s in sizes)
-        if any(s < 0 for s in sizes):
-            raise ParameterError("symbol sizes must be non-negative")
+        sizes = _symbol_sizes(sizes)
         total = sum(sizes)
-        if total < 1:
-            raise ParameterError("total length must be positive")
         rows = [tuple(r) for r in rows]
         if not rows or any(len(r) != total for r in rows):
             raise ParameterError(f"generator rows must all have length {total}")
@@ -830,11 +846,23 @@ class PolyalphabeticCode:
         keep = independent_rows(field, rows)
         if not keep:
             raise ParameterError("generator matrix has rank 0")
+        self._set_basis(field, sizes, keep)
+
+    @classmethod
+    def _from_basis(cls, field, sizes, rows):
+        """The code spanned by ``rows``, which the caller derived from an
+        independent basis over ``field`` as rows of length sum(sizes):
+        only the sizes are checked, and the rows are not reduced."""
+        code = cls.__new__(cls)
+        code._set_basis(field, _symbol_sizes(sizes), rows)
+        return code
+
+    def _set_basis(self, field, sizes, basis):
         self.field = field
         self.sizes = sizes
-        self.total_length = total
-        self.generator = tuple(keep)
-        self.k = len(keep)
+        self.total_length = sum(sizes)
+        self.generator = tuple(basis)
+        self.k = len(self.generator)
         self._distance = None
         self._enumerators = {}
         self._solvers = {}  # kept coordinates -> _KeptSet, for erasure_decode
@@ -850,6 +878,11 @@ class PolyalphabeticCode:
     @property
     def n_symbols(self):
         return len(self.sizes)
+
+    @cached_property
+    def parity_rows(self):
+        """A basis of the dual code over the coordinates."""
+        return tuple(kernel_basis(self.field, self.generator, self.total_length))
 
     @cached_property
     def _encoder(self):

@@ -57,6 +57,9 @@ def poly_from_mother(mother: LinearCode, sizes) -> PolyalphabeticCode:
     sum(sizes[:k]) and block distance at least the mother's distance;
     neither code is scanned here, the exact block distance comes from
     the result's own :meth:`~PolyalphabeticCode.min_block_distance`.
+    The derived rows restrict to the identity on the sum(sizes[:k])
+    information coordinates, which is checked, so they are independent
+    and are not reduced again.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != mother.n:
@@ -88,10 +91,10 @@ def poly_from_mother(mother: LinearCode, sizes) -> PolyalphabeticCode:
                     flat.extend(digits)
                     flat.extend([0] * (sizes[pos] - ext.m))
             rows.append(tuple(flat))
-    out = PolyalphabeticCode(base, sizes, rows)
-    if out.k != sum(sizes[:k]):
+    info = len(rows)  # sum(sizes[:k]) coordinates carry the message
+    if any(row[:info] != tuple(int(i == j) for j in range(info)) for i, row in enumerate(rows)):
         raise DefectError("derived polyalphabetic code has unexpected dimension")
-    return out
+    return PolyalphabeticCode._from_basis(base, sizes, rows)
 
 
 def permute_symbols(poly: PolyalphabeticCode, order) -> PolyalphabeticCode:
@@ -110,7 +113,7 @@ def permute_symbols(poly: PolyalphabeticCode, order) -> PolyalphabeticCode:
         for o in order:
             flat.extend(symbols[o])
         rows.append(tuple(flat))
-    return PolyalphabeticCode(poly.field, sizes, rows)
+    return PolyalphabeticCode._from_basis(poly.field, sizes, rows)
 
 
 def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
@@ -125,7 +128,7 @@ def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
     if family is None:
         total = sum(widths)
         rows = [tuple(int(i == j) for j in range(total)) for i in range(total)]
-        return PolyalphabeticCode(field, widths, rows)
+        return PolyalphabeticCode._from_basis(field, widths, rows)
     m = len(widths)
     if not 1 <= k <= m:
         raise ParameterError(f"mother dimension must be in [1, {m}], got {k}")
@@ -186,17 +189,20 @@ class GccCode:
         return best
 
     def _capability_floor(self):
-        best = None
+        """The least capability over the profiles that put level j's inner
+        distances on a support of d(A_j) blocks, for every level and
+        support.  A profile of weighted weight w has capability in the
+        bracket floor((w - 1) / 2) <= cap <= w - 1, so the profiles are
+        walked in increasing weight and the walk stops once
+        floor((w - 1) / 2) reaches the least capability found
+        (:meth:`~whmetric.metric.WeightedSpace._least_capability`)."""
+        m = self.space.m
+        profiles = []
         for j in range(self.levels):
-            dj = self.outer_distances[j]
-            for support in combinations(range(self.space.m), dj):
-                profile = [0] * self.space.m
-                for l in support:
-                    profile[l] = self.inner_distances[j][l]
-                t = self.space.profile_capability(profile)
-                if best is None or t < best:
-                    best = t
-        return best
+            inner = self.inner_distances[j]
+            for support in combinations(range(m), self.outer_distances[j]):
+                profiles.append(tuple(inner[l] if l in support else 0 for l in range(m)))
+        return self.space._least_capability(profiles)
 
     def encode(self, messages):
         """Concatenate per-level outer codewords through the quotient encoders."""

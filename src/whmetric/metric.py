@@ -12,6 +12,12 @@ be written as a difference of two vectors of weighted weight <= t.  It
 equals ``min over splits r of max(wt(r), wt(v - r)) - 1`` where the
 minimizing split keeps each coordinate of v or zeroes it, which reduces
 the minimum to a reachable-sum dynamic program over the profile.
+
+The heavier side of a split weighs between ceil(w / 2) and w for a
+profile of weighted weight w, so its capability lies in the bracket
+floor((w - 1) / 2) <= cap <= w - 1.  The difference ball and the least
+capability over many profiles use the bracket to run the dynamic
+program only on the profiles it leaves undecided.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from operator import mul
 
 from .errors import ParameterError
 
@@ -122,6 +129,27 @@ class WeightedSpace:
     def vector_capability(self, v) -> int:
         return self.profile_capability(self.block_profile(v))
 
+    def _least_capability(self, profiles) -> int:
+        """Smallest capability over ``profiles``: at least one profile of
+        this space, each built by the caller (an enumerator's keys, or
+        profiles of component distances).
+
+        The profiles are walked in increasing weighted weight w, and the
+        walk stops at the first whose floor((w - 1) / 2) reaches the least
+        capability found so far: no profile from there on can have a
+        smaller one.  Only the profiles before the stop run
+        :meth:`profile_capability`, which validates them.
+        """
+        scales = self.scales
+        best = None
+        for w, profile in sorted((sum(map(mul, scales, p)), p) for p in profiles):
+            if best is not None and (w - 1) // 2 >= best:
+                break
+            cap = self.profile_capability(profile)
+            if best is None or cap < best:
+                best = cap
+        return best
+
     # -- balls -----------------------------------------------------------
 
     def ball_profiles(self, t: int) -> list:
@@ -148,13 +176,18 @@ class WeightedSpace:
         """Profiles of differences of two radius-t vectors, in lex order.
 
         A profile belongs to the difference set iff its capability is
-        at most t - 1.
+        at most t - 1.  By the bracket floor((w - 1) / 2) <= cap <= w - 1
+        on a profile of weighted weight w, it does when w <= t and does
+        not when floor((w - 1) / 2) >= t; only the profiles in between
+        run the dynamic program.
         """
         if t < 0:
             raise ParameterError("radius must be non-negative")
+        scales = self.scales
         out = []
         for prof in product(*(range(b + 1) for b in self.blocks)):
-            if self.profile_capability(prof) <= t - 1:
+            w = sum(map(mul, scales, prof))
+            if w <= t or ((w - 1) // 2 < t and self.profile_capability(prof) < t):
                 out.append(prof)
         return out
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import mul
 
 from .code import DEFAULT_LIMITS, split_weight_enumerator, vec_add
 from .construct import GccCode
@@ -34,14 +35,24 @@ def _nonzero_profiles(code, space, limits):
 
 
 def exact_min_weighted_distance(code, space, limits=DEFAULT_LIMITS) -> int:
-    """Minimum weighted weight over the nonzero codewords."""
-    return min(space.weighted_weight(p) for p in _nonzero_profiles(code, space, limits))
+    """Minimum weighted weight over the nonzero codewords: each profile's
+    dot product with the scales, the enumerator's keys being profiles of
+    ``space`` already."""
+    scales = space.scales
+    return min(sum(map(mul, scales, p)) for p in _nonzero_profiles(code, space, limits))
 
 
 def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
     """Exact error-correction capability: the smallest capability of a
-    nonzero codeword's profile."""
-    return min(space.profile_capability(p) for p in _nonzero_profiles(code, space, limits))
+    nonzero codeword's profile.
+
+    A profile of weighted weight w has capability in the bracket
+    floor((w - 1) / 2) <= cap <= w - 1, so the profiles are walked in
+    increasing weight and the walk stops once floor((w - 1) / 2) reaches
+    the least capability found
+    (:meth:`~whmetric.metric.WeightedSpace._least_capability`); the
+    dynamic program runs only on the profiles before the stop."""
+    return space._least_capability(_nonzero_profiles(code, space, limits))
 
 
 def exhaustive_unique_correction_check(code, space, t, limits=DEFAULT_LIMITS) -> bool:
