@@ -864,6 +864,7 @@ class PolyalphabeticCode:
         self.generator = tuple(basis)
         self.k = len(self.generator)
         self._distance = None
+        self._source = None  # the code this one's symbols were permuted from
         self._enumerators = {}
         self._solvers = {}  # kept coordinates -> _KeptSet, for erasure_decode
         offsets, start = [], 0
@@ -911,13 +912,21 @@ class PolyalphabeticCode:
 
         The whole space contains a unit vector, so its distance is 1
         without a scan.  Any other code is admitted under ``limits`` on
-        every call; the distance is reduced once."""
+        every call; the distance is reduced once.  A code whose symbols
+        were permuted from another (:func:`whmetric.construct.permute_symbols`)
+        has that code's q^k words and its distance, since a symbol
+        permutation maps each codeword's nonzero symbols one-to-one: it is
+        admitted itself, then reads the distance scanned on the other code,
+        which is scanned at most once for all its permuted images."""
         if self.k == self.total_length:
             return 1
         _admit(self, limits)
         if self._distance is None:
-            profiles = split_weight_enumerator(self, self.sizes, limits)
-            self._distance = min(sum(1 for w in p if w) for p in profiles if any(p))
+            scanned = self._source or self
+            if scanned._distance is None:
+                profiles = split_weight_enumerator(scanned, scanned.sizes, limits)
+                scanned._distance = min(len(p) - p.count(0) for p in profiles if any(p))
+            self._distance = scanned._distance
         return self._distance
 
     def _decoding_distance(self):

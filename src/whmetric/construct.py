@@ -100,7 +100,11 @@ def poly_from_mother(mother: LinearCode, sizes) -> PolyalphabeticCode:
 def permute_symbols(poly: PolyalphabeticCode, order) -> PolyalphabeticCode:
     """Reorder the symbols of a polyalphabetic code; distance is invariant.
 
-    ``order[i]`` names which old symbol lands at new position i.
+    ``order[i]`` names which old symbol lands at new position i.  The
+    permutation maps each codeword's set of nonzero symbols one-to-one,
+    so the image keeps a reference to the code its distance is scanned
+    on (``poly``, or the code ``poly`` was itself permuted from), and its
+    :meth:`~PolyalphabeticCode.min_block_distance` reads that code's.
     """
     order = list(order)
     if sorted(order) != list(range(poly.n_symbols)):
@@ -113,7 +117,15 @@ def permute_symbols(poly: PolyalphabeticCode, order) -> PolyalphabeticCode:
         for o in order:
             flat.extend(symbols[o])
         rows.append(tuple(flat))
-    return PolyalphabeticCode._from_basis(poly.field, sizes, rows)
+    image = PolyalphabeticCode._from_basis(poly.field, sizes, rows)
+    image._source = poly._source or poly
+    return image
+
+
+# (field, family, k, sorted widths) -> the sorted-order code outer_code
+# permutes: codes are immutable, and every order of the same widths shares
+# its block distance.
+_MOTHER_OUTERS = {}
 
 
 def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
@@ -123,7 +135,13 @@ def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
     Otherwise it comes from the [m, k] ``family`` mother code over the
     extension field of degree (sorted widths)[k-1], through
     :func:`poly_from_mother`, with its symbols put back in the order of
-    ``widths``.
+    ``widths`` by :func:`permute_symbols`.
+
+    Reordering symbols never changes the block distance, so the sorted
+    code is built once per (field, family, k, sorted widths) and kept for
+    the life of the process; every call returns a new permuted image of
+    it, whose block distance is the kept code's, scanned at most once.
+    A build that fails is not kept and raises again on the next call.
     """
     if family is None:
         total = sum(widths)
@@ -133,9 +151,12 @@ def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
     if not 1 <= k <= m:
         raise ParameterError(f"mother dimension must be in [1, {m}], got {k}")
     order = sorted(range(m), key=lambda l: (widths[l], l))
-    sorted_sizes = [widths[l] for l in order]
-    ext = make_extension_field(field.q, sorted_sizes[k - 1])
-    poly = poly_from_mother(named_code(family, ext, m, k), sorted_sizes)
+    sorted_sizes = tuple(widths[l] for l in order)
+    key = (field, family, k, sorted_sizes)
+    poly = _MOTHER_OUTERS.get(key)
+    if poly is None:
+        ext = make_extension_field(field.q, sorted_sizes[k - 1])
+        poly = _MOTHER_OUTERS[key] = poly_from_mother(named_code(family, ext, m, k), sorted_sizes)
     inverse = [0] * m
     for new, old in enumerate(order):
         inverse[old] = new
@@ -434,15 +455,16 @@ def search_constructions(
 ):
     """Enumerate menu assemblies; returns records sorted by (levels, spec).
 
-    Inner entries are code specs, parsed once per distinct block length;
-    outer entries are outer specs (see :func:`_outer_options`), parsed once
-    per symbol widths; ``file:`` paths resolve against ``base_dir``.  An
-    entry with no code at a length or widths is skipped there, and one with
-    a code nowhere raises its first error.  Each record is a dict with keys
-    k, designed_distance, capability_floor, levels, and the inner and outer
-    specs, so it can be written back as a ``[gcc]`` section.  Candidates are
-    assembled by :func:`build_gcc` from exact component distances scanned
-    under ``limits``, so the reported parameters are guaranteed.
+    Inner entries are code specs, parsed and chained once per distinct
+    block length; outer entries are outer specs (see :func:`_outer_options`),
+    parsed once per symbol widths; ``file:`` paths resolve against
+    ``base_dir``.  An entry with no code at a length or widths is skipped
+    there, and one with a code nowhere raises its first error.  Each record
+    is a dict with keys k, designed_distance, capability_floor, levels, and
+    the inner and outer specs, so it can be written back as a ``[gcc]``
+    section.  Candidates are assembled by :func:`build_gcc` from exact
+    component distances scanned under ``limits``, so the reported
+    parameters are guaranteed.
     """
     if max_levels < 1:
         raise ParameterError(f"max_levels must be at least 1, got {max_levels}")
@@ -458,7 +480,8 @@ def search_constructions(
     # immutable, so each widths tuple gets one outer menu per call.
     outer_menus = {}
     for levels in range(1, max_levels + 1):
-        per_block = [_chain_options(inner_codes[n], levels) for n in space.blocks]
+        per_length = {n: _chain_options(codes, levels) for n, codes in inner_codes.items()}
+        per_block = [per_length[n] for n in space.blocks]
         if not all(per_block):
             break  # every longer chain extends a chain of this many levels
         for combo in product(*per_block):

@@ -13,6 +13,7 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
+from whmetric import code as code_module
 from whmetric import construct as construct_module
 from whmetric.code import Limits, NestedChain, PolyalphabeticCode, named_code
 from whmetric.construct import (
@@ -27,7 +28,7 @@ from whmetric.construct import (
     poly_from_mother,
     search_constructions,
 )
-from whmetric.errors import ParameterError
+from whmetric.errors import ExhaustionError, ParameterError
 from whmetric.field import make_extension_field, make_prime_field
 from whmetric.metric import WeightedSpace
 from whmetric.oracle import exact_capability, exact_min_weighted_distance
@@ -194,6 +195,50 @@ def test_search_builds_each_outer_code_once(monkeypatch):
     assert builds and set(builds.values()) == {1}
 
 
+def test_outer_code_returns_a_new_image_and_refuses_every_try():
+    a = outer_code(F2, (3, 1, 2), "rs", 2)
+    b = outer_code(F2, (3, 1, 2), "rs", 2)
+    assert a is not b and a._solvers is not b._solvers
+    assert (a.sizes, a.generator) == (b.sizes, b.generator)
+    errors = []
+    for _ in range(2):  # F_2 has no [3, 1] Reed-Solomon code
+        with pytest.raises(ParameterError) as exc:
+            parse_outer_spec(F2, "mother:rs:3:1", (1, 1, 1))
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+@st.composite
+def permuted_mother_outers(draw):
+    """A mother-derived outer code over F2 or F3 in a random width order,
+    with its symbols permuted again by a random order."""
+    q = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(2, 4))
+    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    family = draw(st.sampled_from(("parity", "repetition", "rs")))
+    k = {"parity": m - 1, "repetition": 1}.get(family) or draw(st.integers(1, m - 1))
+    assume(family != "rs" or m <= q ** sorted(widths)[k - 1])
+    field = make_prime_field(q)
+    return field, widths, family, k, draw(st.permutations(range(m)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(permuted_mother_outers())
+def test_permuted_mother_outers_keep_the_fresh_scan_distance(case):
+    field, widths, family, k, order = case
+    outer = outer_code(field, widths, family, k)
+    shuffled = permute_symbols(outer, order)
+    for code in (shuffled, outer):
+        fresh = PolyalphabeticCode(field, code.sizes, code.generator)
+        assert code.min_block_distance() == fresh.min_block_distance()
+    # the kept source now holds its distance; a new image is still
+    # admitted under the caller's limits on every call
+    tight = Limits(max_codewords=field.order**outer.k - 1)
+    for code in (shuffled, outer_code(field, widths, family, k)):
+        with pytest.raises(ExhaustionError):
+            code.min_block_distance(tight)
+
+
 def test_search_with_mother_outers_extends_the_frontier():
     space = WeightedSpace(2, (7, 7, 7), (1, 2, 3))
     plain = search_constructions(space, ["hamming", "full"], ["full"], 1)
@@ -218,6 +263,31 @@ def test_search_workload_menus_give_364_records():
     assert outers == {"full", "mother:rs:3:1", "mother:rs:3:2"}
     best = max(records, key=lambda r: (r["capability_floor"], r["k"]))
     assert (best["capability_floor"], best["k"]) == (8, 4)
+
+
+def test_search_derives_each_mother_outer_once_per_sorted_widths(monkeypatch):
+    # the search workload's menus make 249 outer_code calls over 78 sorted
+    # widths; each (family, k, sorted widths) that gives a code is built and
+    # scanned once, and its reorderings are permutations of that build
+    counts = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(construct_module, "_MOTHER_OUTERS", {})
+    counted(construct_module, "poly_from_mother")
+    counted(code_module, "_split_counts")
+    counted(construct_module, "_chain_options")
+    space = WeightedSpace(2, (7, 7, 7), (1, 2, 3))
+    records = search_constructions(space, WORKLOAD_INNER, ["full", "rs"], 2)
+    assert len(records) == 364
+    assert counts == {"poly_from_mother": 34, "_split_counts": 38, "_chain_options": 2}
 
 
 def _former_outer_candidates(field, widths):
