@@ -42,7 +42,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, compress, groupby, islice, product
 from math import comb, prod
 from operator import mul, xor
 from struct import calcsize
@@ -230,6 +230,12 @@ def independent_rows(field, rows):
     return keep
 
 
+@cache
+def identity_rows(n):
+    """The n unit vectors of length n, as a tuple of tuples built once per n."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def kernel_basis(field, rows, ncols):
     """Basis of the right kernel {h : r . h = 0 for every row r}."""
     return _rref_kernel(field, *row_reduce(field, rows), ncols)
@@ -314,6 +320,13 @@ def krawtchouk(q: int, n: int, j: int, i: int) -> int:
 @cache
 def _krawtchouk_table(q, b):
     return tuple(tuple(krawtchouk(q, b, j, i) for i in range(b + 1)) for j in range(b + 1))
+
+
+@cache
+def _krawtchouk_columns(q, b, bits):
+    """Per i, the column K_j(i), j = 0 .. b, packed as sum_j K_j(i) << (j * bits)."""
+    table = _krawtchouk_table(q, b)
+    return tuple(sum(row[i] << j * bits for j, row in enumerate(table)) for i in range(b + 1))
 
 
 def krawtchouk_tables(q, blocks):
@@ -407,38 +420,83 @@ def _macwilliams(q, blocks, dual_counts, dual_size, size):
 
         A(j) = (1 / |C_dual|) * sum_i B(i) * prod_l K_{j_l}(i_l; b_l, q).
 
-    The product of per-block Krawtchouk matrices is applied one block at
-    a time to the dense array of counts, in lexicographic profile order,
-    at (b_l + 1) multiply-adds per profile and block.  Each A(j) must be
-    a non-negative integer, A(0) must be 1 and the counts must sum to
-    ``size``; anything else is a defect.
+    The P sums |C_dual| A(j), one per profile j in lexicographic order,
+    are the lanes of one integer, built in one pass over the dual's
+    nonzero profiles from the last block to the first.  A node holds the
+    packed sums, over the blocks after them, of the dual profiles that
+    share its leading entries: W lanes in all.  Each profile adds its
+    count times the packed Krawtchouk column K_m[.][i_m] of the last
+    block to the node of its leading entries, and each earlier block l
+    folds a node's children T_i into sum_j (sum_i K_l[j][i] T_i) << (j W
+    lane).  A lane is the fewest 64-bit words that hold
+    2 (sum_i |B(i)|) q^n, twice the largest |sum|, sized from the dual's
+    own counts, so the lanes are balanced signed integers that never
+    spill into each other.
+
+    The root is read back once, through the host's byte order as in
+    :class:`_Product`.  Every A(j) is a non-negative integer exactly when
+    the root is a multiple of |C_dual| whose quotient's lanes, read
+    unsigned, are below half a lane's range over |C_dual|; those lanes
+    are then the A(j).  Otherwise the lanes are read offset by half their
+    range, and the first that is not a non-negative multiple is a defect.
+    A(0) must also be 1 and the counts must sum to ``size``.
     """
-    profiles = list(product(*(range(b + 1) for b in blocks)))
-    values = [dual_counts.get(p, 0) for p in profiles]
-    stride = 1  # distance between neighbours along the current block's axis
-    for table in reversed(krawtchouk_tables(q, blocks)):
-        span = len(table) * stride
-        out = [0] * len(values)
-        for base in range(0, len(values), span):
-            for first in range(base, base + stride):
-                fiber = values[first : first + span : stride]
-                if any(fiber):
-                    sums = [sum(map(mul, row, fiber)) for row in table]
-                    out[first : first + span : stride] = sums
-        values = out
-        stride = span
-    counts = {}
-    for jprof, acc in zip(profiles, values):
-        a, rest = divmod(acc, dual_size)
-        if rest or a < 0:
-            raise DefectError(
-                f"MacWilliams transform gives {acc}/{dual_size} codewords of profile {jprof}"
-            )
-        if a:
-            counts[jprof] = a
-    if counts.get(profiles[0]) != 1 or sum(counts.values()) != size:
+    tables = krawtchouk_tables(q, blocks)
+    total = sum(map(abs, dual_counts.values()))
+    bits = (2 * total * q ** sum(blocks)).bit_length()
+    lane = 64 * max(1, -(-bits // 64))  # the fewest 64-bit words that hold 2 total q^n
+    # the bits of one entry of block l: a node's lanes over the blocks after l
+    shifts = list(accumulate((len(t) for t in tables[:0:-1]), mul, initial=lane))[::-1]
+    last = len(blocks) - 1
+    columns = _krawtchouk_columns(q, blocks[last], lane)
+
+    def fold(l, group):
+        """The packed transform over blocks l onwards of the (profile,
+        count) pairs in ``group``, which share their first l entries."""
+        if l == last:
+            return sum([count * columns[p[l]] for p, count in group])
+        children = [0] * len(tables[l])
+        for i, sub in groupby(group, lambda item: item[0][l]):
+            children[i] = fold(l + 1, sub)
+        node = 0
+        for row in reversed(tables[l]):
+            node = (node << shifts[l]) + sum(map(mul, row, children))
+        return node
+
+    root = fold(0, iter(sorted(dual_counts.items())))
+    lanes = prod(len(t) for t in tables)
+    profiles = product(*(range(b + 1) for b in blocks))
+    half = 1 << lane - 1
+    quotient, rest = divmod(root, dual_size)
+    # Every lane is a non-negative multiple of dual_size iff the root is a
+    # multiple whose quotient's lanes, read unsigned, are below half / dual_size.
+    values = None if rest or root < 0 else _unpack_lanes(quotient, lanes, lane)
+    if values is None or max(values) * dual_size >= half:
+        bias = int.from_bytes(half.to_bytes(lane // 8, "little") * lanes, "little")
+        for jprof, value in zip(profiles, _unpack_lanes(root + bias, lanes, lane)):
+            acc = value - half  # some lane fails, so the loop raises
+            if acc % dual_size or acc < 0:
+                raise DefectError(
+                    f"MacWilliams transform gives {acc}/{dual_size} codewords of profile {jprof}"
+                )
+    if values[0] != 1 or sum(values) != size:
         raise DefectError("MacWilliams transform does not count the zero word once and every word")
-    return counts
+    return dict(zip(compress(profiles, values), filter(None, values)))
+
+
+def _unpack_lanes(value, lanes, lane):
+    """The ``lanes`` unsigned lanes of ``lane`` bits (a multiple of 64),
+    lowest first, of the non-negative ``value``, read through the host's
+    byte order."""
+    raw = value.to_bytes(lanes * lane // 8, byteorder)
+    if lane == 64:
+        out = memoryview(raw).cast("Q").tolist()
+    else:
+        size = lane // 8
+        out = [int.from_bytes(raw[i : i + size], byteorder) for i in range(0, len(raw), size)]
+    if byteorder == "big":
+        out.reverse()
+    return out
 
 
 def _admit(code, limits):
@@ -466,9 +524,13 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     of many short blocks has so many profiles that it keeps the direct
     scan.  Either side is counted by one :func:`_packed_counts` scan of
     its basis.  The dual's counts are mapped to the code's by
-    :func:`_macwilliams`, in integers and checked, with q the order of
-    the code's field.  The counts are kept on the code, once per
-    ``blocks``, and each call returns a copy.
+    :func:`_macwilliams`, with q the order of the code's field: one pass
+    over the dual's nonzero profiles in packed integer lanes, read back
+    once and checked exactly.  The counts are kept on the code, once per
+    ``blocks``, and each call returns a copy.  The certificates read them
+    in their space's (weighted weight, lex) order
+    (:attr:`~whmetric.metric.WeightedSpace.nonzero_by_weight`), so no
+    caller sorts or weighs the whole enumerator.
     """
     blocks = tuple(blocks)
     n = len(code.generator[0])
@@ -485,13 +547,10 @@ def _split_counts(code, blocks, size):
     """The profile counts of the ``size`` words of ``code``, scanned on
     whichever of the code and its dual is cheaper.
 
-    The dual's basis is the code's cached ``parity_rows`` (a
-    :class:`LinearCode` reads them off the reduced generator it already
-    holds), so a dual scan does no elimination of its own.  The
-    capability is reduced from the counts by a walk in increasing
-    weighted weight w that stops once floor((w - 1) / 2), the bottom of a
-    profile's bracket floor((w - 1) / 2) <= cap <= w - 1, reaches the
-    least capability found (:func:`whmetric.oracle.exact_capability`)."""
+    The dual's basis is the code's cached ``parity_rows``, read off a
+    reduced generator: a :class:`LinearCode` holds one, and a
+    :class:`PolyalphabeticCode` built as [I | A] is one.  So a dual scan
+    of either does no elimination of its own."""
     field = code.field
     q = field.order
     r = len(code.generator[0]) - code.k
@@ -574,11 +633,6 @@ class LinearCode:
     def codewords(self):
         """All codewords, streamed in lexicographic message order."""
         return _stream_combinations(self.field, self.generator, self.n)
-
-    def message_codeword_pairs(self):
-        q = self.field.order
-        for msg in product(range(q), repeat=self.k):
-            yield msg, self.encode(msg)
 
     def min_distance(self, limits=DEFAULT_LIMITS):
         """Exact minimum Hamming distance: the smallest nonzero weight of
@@ -882,8 +936,15 @@ class PolyalphabeticCode:
 
     @cached_property
     def parity_rows(self):
-        """A basis of the dual code over the coordinates."""
-        return tuple(kernel_basis(self.field, self.generator, self.total_length))
+        """A basis of the dual code over the coordinates, read off a
+        reduced generator: the generator itself when it is [I | A], as every
+        code :func:`~whmetric.construct.poly_from_mother` builds is, so the
+        basis is [-A^T | I] with no elimination; otherwise its reduced
+        row echelon form."""
+        rows, pivots = self.generator, range(self.k)
+        if any(row[: self.k] != unit for row, unit in zip(rows, identity_rows(self.k))):
+            rows, pivots = row_reduce(self.field, rows)
+        return tuple(_rref_kernel(self.field, rows, pivots, self.total_length))
 
     @cached_property
     def _encoder(self):
@@ -1070,12 +1131,7 @@ def named_code(family, field, n, k=None):
         return LinearCode(field, rows)
     if family == "full":
         _fixed_dimension(k, n, f"the full space of length {n} has dimension {n}")
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i] = 1
-            rows.append(tuple(row))
-        return LinearCode(field, rows)
+        return LinearCode(field, identity_rows(n))
     if family == "hamming":
         order = field.order
         r, length = 2, order + 1

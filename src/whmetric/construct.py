@@ -39,6 +39,7 @@ from .code import (
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
+    identity_rows,
     load_matrix_file,
     named_code,
     vec_add,
@@ -92,7 +93,7 @@ def poly_from_mother(mother: LinearCode, sizes) -> PolyalphabeticCode:
                     flat.extend([0] * (sizes[pos] - ext.m))
             rows.append(tuple(flat))
     info = len(rows)  # sum(sizes[:k]) coordinates carry the message
-    if any(row[:info] != tuple(int(i == j) for j in range(info)) for i, row in enumerate(rows)):
+    if any(row[:info] != unit for row, unit in zip(rows, identity_rows(info))):
         raise DefectError("derived polyalphabetic code has unexpected dimension")
     return PolyalphabeticCode._from_basis(base, sizes, rows)
 
@@ -131,7 +132,8 @@ _MOTHER_OUTERS = {}
 def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
     """Polyalphabetic outer code over ``field`` with symbol widths ``widths``.
 
-    Without ``family`` it is the whole space (the identity generator).
+    Without ``family`` it is the whole space: the identity generator,
+    whose rows :func:`~whmetric.code.identity_rows` builds once per length.
     Otherwise it comes from the [m, k] ``family`` mother code over the
     extension field of degree (sorted widths)[k-1], through
     :func:`poly_from_mother`, with its symbols put back in the order of
@@ -144,9 +146,7 @@ def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
     A build that fails is not kept and raises again on the next call.
     """
     if family is None:
-        total = sum(widths)
-        rows = [tuple(int(i == j) for j in range(total)) for i in range(total)]
-        return PolyalphabeticCode._from_basis(field, widths, rows)
+        return PolyalphabeticCode._from_basis(field, widths, identity_rows(sum(widths)))
     m = len(widths)
     if not 1 <= k <= m:
         raise ParameterError(f"mother dimension must be in [1, {m}], got {k}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import mul
 
 from .code import DEFAULT_LIMITS, split_weight_enumerator, vec_add
 from .construct import GccCode
@@ -30,16 +29,13 @@ def block_weight_enumerator(code, space, limits=DEFAULT_LIMITS) -> dict:
     return split_weight_enumerator(code, space.blocks, limits)
 
 
-def _nonzero_profiles(code, space, limits):
-    return [p for p in block_weight_enumerator(code, space, limits) if any(p)]
-
-
 def exact_min_weighted_distance(code, space, limits=DEFAULT_LIMITS) -> int:
-    """Minimum weighted weight over the nonzero codewords: each profile's
-    dot product with the scales, the enumerator's keys being profiles of
-    ``space`` already."""
-    scales = space.scales
-    return min(sum(map(mul, scales, p)) for p in _nonzero_profiles(code, space, limits))
+    """Minimum weighted weight over the nonzero codewords: the weight of
+    the first profile in ``space``'s (weighted weight, lex) order
+    (:attr:`~whmetric.metric.WeightedSpace.nonzero_by_weight`) that a
+    codeword attains."""
+    counts = block_weight_enumerator(code, space, limits)
+    return next(w for w, p in space.nonzero_by_weight if p in counts)
 
 
 def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
@@ -47,12 +43,14 @@ def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
     nonzero codeword's profile.
 
     A profile of weighted weight w has capability in the bracket
-    floor((w - 1) / 2) <= cap <= w - 1, so the profiles are walked in
-    increasing weight and the walk stops once floor((w - 1) / 2) reaches
-    the least capability found
-    (:meth:`~whmetric.metric.WeightedSpace._least_capability`); the
-    dynamic program runs only on the profiles before the stop."""
-    return space._least_capability(_nonzero_profiles(code, space, limits))
+    floor((w - 1) / 2) <= cap <= w - 1, so the profiles the codewords
+    attain are walked in ``space``'s (weighted weight, lex) order, and the
+    walk stops once floor((w - 1) / 2) reaches the least capability found
+    (:meth:`~whmetric.metric.WeightedSpace._capability_walk`); the
+    dynamic program runs only on the profiles before the stop, and the
+    enumerator is never sorted or weighed as a whole."""
+    counts = block_weight_enumerator(code, space, limits)
+    return space._capability_walk(pair for pair in space.nonzero_by_weight if pair[1] in counts)
 
 
 def exhaustive_unique_correction_check(code, space, t, limits=DEFAULT_LIMITS) -> bool:

@@ -43,6 +43,13 @@ def capability_by_splits(space, v):
     return best - 1
 
 
+def message_codeword_pairs(code):
+    """Every (message, codeword) pair of ``code``, messages in lexicographic
+    order, each codeword through the code's own encoder."""
+    for msg in product(range(code.field.order), repeat=code.k):
+        yield msg, code.encode(msg)
+
+
 def ball_vectors(space, t):
     out = []
     for v in product(range(space.q), repeat=space.n):

@@ -23,7 +23,14 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
-from whmetric.code import LinearCode, PolyalphabeticCode, named_code, split_weight_enumerator
+from whmetric.code import (
+    LinearCode,
+    PolyalphabeticCode,
+    identity_rows,
+    kernel_basis,
+    named_code,
+    split_weight_enumerator,
+)
 from whmetric.construct import outer_code, permute_symbols
 from whmetric.field import Field
 from whmetric.metric import WeightedSpace
@@ -138,3 +145,81 @@ def test_derived_outer_codes_keep_their_rows(build):
     poly = build()
     reduced = PolyalphabeticCode(poly.field, poly.sizes, poly.generator)
     assert (poly.k, poly.generator) == (reduced.k, reduced.generator)
+
+
+def _certify_codes():
+    """The benchmark's three certify codes and their spaces."""
+    _, hc = hamming_concatenation()
+    return [
+        (hc.as_linear_code(), hc.space),
+        (named_code("hamming", F7, 8, 6), WeightedSpace(7, (4, 4), (1, 2))),
+        (named_code("hamming", F3, 13, 10), WeightedSpace(3, (6, 7), (1, 2))),
+    ]
+
+
+def _sorted_walk(space, counts):
+    """The profiles the bracket walk over the enumerator's nonzero
+    profiles, sorted by (weighted weight, profile), runs the program on."""
+    ran, best = [], None
+    for w, p in sorted((space.weighted_weight(p), p) for p in counts if any(p)):
+        if best is not None and (w - 1) // 2 >= best:
+            break
+        ran.append(p)
+        cap = space.profile_capability(p)
+        best = cap if best is None else min(best, cap)
+    return ran
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_weight_order_walk_runs_the_program_on_the_sorted_walks_profiles(monkeypatch, index):
+    code, space = _certify_codes()[index]
+    expected = _sorted_walk(space, split_weight_enumerator(code, space.blocks))
+    calls = []
+    original = WeightedSpace.profile_capability
+
+    def counted(self, profile):
+        calls.append(profile)
+        return original(self, profile)
+
+    monkeypatch.setattr(WeightedSpace, "profile_capability", counted)
+    exact_capability(code, space)
+    assert calls == expected
+
+
+def test_weight_order_lists_every_nonzero_profile_by_weight_then_lex():
+    space = WeightedSpace(3, (2, 1, 3), (1, 2, 2))
+    profiles = [p for p in product(range(3), range(2), range(4)) if any(p)]
+    expected = sorted((space.weighted_weight(p), p) for p in profiles)
+    assert list(space.nonzero_by_weight) == expected
+    assert space.nonzero_by_weight is space.nonzero_by_weight
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mixed_code_from_parity_mother(2),
+        lambda: mixed_code_from_parity_mother(3),
+        lambda: outer_code(F3, (1, 2, 2), "reed_solomon", 2),
+    ],
+)
+def test_systematic_polyalphabetic_dual_is_read_off(monkeypatch, build):
+    poly = build()
+    assert all(row[: poly.k] == unit for row, unit in zip(poly.generator, identity_rows(poly.k)))
+    expected = kernel_basis(poly.field, poly.generator, poly.total_length)
+    ops = {"mul": 0, "sub": 0}
+    for name in ops:
+        original = getattr(Field, name)
+
+        def counted(self, a, b, name=name, original=original):
+            ops[name] += 1
+            return original(self, a, b)
+
+        monkeypatch.setattr(Field, name, counted)
+    assert list(poly.parity_rows) == expected
+    assert ops == {"mul": 0, "sub": 0}
+
+
+def test_permuted_polyalphabetic_dual_is_reduced_first():
+    poly = permute_symbols(mixed_code_from_parity_mother(2), [2, 0, 1])
+    assert tuple(row[: poly.k] for row in poly.generator) != identity_rows(poly.k)
+    assert list(poly.parity_rows) == kernel_basis(poly.field, poly.generator, poly.total_length)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import F2, F3, F7
+from helpers import F2, F3, F7, message_codeword_pairs
 from whmetric.code import (
     FAIL,
     Limits,
@@ -24,7 +24,7 @@ from whmetric.field import make_extension_field
 def brute_force_distance(code):
     return min(
         hamming_weight(c)
-        for m, c in code.message_codeword_pairs()
+        for m, c in message_codeword_pairs(code)
         if any(m)
     )
 
@@ -89,7 +89,7 @@ def test_min_distance_examples():
     code = LinearCode(F2, [(1, 1, 1, 1, 1, 1), (1, 1, 1, 0, 0, 0)])
     assert code.min_distance() == 3
     weights = sorted(
-        hamming_weight(c) for m, c in code.message_codeword_pairs() if any(m)
+        hamming_weight(c) for m, c in message_codeword_pairs(code) if any(m)
     )
     assert weights == [3, 3, 6]
 
@@ -140,7 +140,7 @@ def test_bmd_round_trip_within_radius():
     ]
     for code in codes:
         radius = (code.min_distance() - 1) // 2
-        for _, c in code.message_codeword_pairs():
+        for _, c in message_codeword_pairs(code):
             for positions in _supports(code.n, radius):
                 for values in product(range(1, code.field.order), repeat=len(positions)):
                     e = list(c)
@@ -190,7 +190,7 @@ def test_erasure_decode_contract_exhaustive():
 
     code = named_code("hamming", F2, 7, 4)
     d = code.min_distance()
-    for _, c in code.message_codeword_pairs():
+    for _, c in message_codeword_pairs(code):
         for s in range(d):
             for erased in combinations(range(7), s):
                 e_budget = (d - 1 - s) // 2

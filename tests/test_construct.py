@@ -438,3 +438,12 @@ def test_the_floors_bound_the_exact_capability_and_distance(case):
     code = gcc.as_linear_code()
     assert gcc.capability_floor <= exact_capability(code, space)
     assert gcc.designed_distance <= exact_min_weighted_distance(code, space)
+
+
+def test_full_outer_codes_share_their_identity_rows_but_not_their_code():
+    a = outer_code(F2, (1, 3))
+    b = outer_code(F2, (3, 1))
+    assert a is not b and a._solvers is not b._solvers
+    assert a.generator is b.generator
+    assert a.generator == tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert (a.sizes, b.sizes, a.min_block_distance()) == ((1, 3), (3, 1), 1)

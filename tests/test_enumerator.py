@@ -7,6 +7,8 @@ when it scans the dual instead.
 """
 
 from collections import Counter
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -235,3 +237,86 @@ def test_admission_counts_the_code_not_the_scanned_side():
 def test_blocks_must_cover_the_code():
     with pytest.raises(ParameterError):
         split_weight_enumerator(named_code("hamming", F2, 7, 4), (3, 3))
+
+
+# Longest code per field order whose code and dual both stay small to scan.
+MAX_TRANSFORM_LENGTH = {2: 10, 3: 6, 4: 5, 5: 4, 9: 3}
+
+
+def _dual_counts(code, blocks):
+    """The dual's profile counts, by brute force over a basis of the dual."""
+    if not code.parity_rows:  # k = n: the dual is {0}
+        return {(0,) * len(blocks): 1}
+    return brute_force_enumerator(LinearCode(code.field, code.parity_rows), blocks)
+
+
+@st.composite
+def codes_for_the_transform(draw):
+    """A code over F2, F3, F5, GF(4) or GF(9), of any rate, and a split of
+    its length into up to four blocks, zero-width blocks included; with
+    no cut it is one block."""
+    field = draw(st.sampled_from((F2, F3, F5, F4, F9)))
+    n = draw(st.integers(1, MAX_TRANSFORM_LENGTH[field.order]))
+    k = draw(st.integers(1, n))
+    entry = st.integers(0, field.order - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    if not any(map(any, rows)):
+        rows[0][0] = 1
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    blocks = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    return LinearCode(field, rows), blocks
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(codes_for_the_transform())
+@example((LinearCode(F2, [(1, 0, 1, 1, 0, 1, 1)]), (7,)))  # one block
+@example((LinearCode(F9, [(1, 2, 3), (0, 1, 5)]), (0, 3, 0)))  # zero-width blocks
+@example((LinearCode(F5, [(1, 2, 3, 4)]), (0, 0, 4)))
+@example((LinearCode(F4, _identity(4)), (1, 0, 3)))  # k = n, the dual is {0}
+@example((LinearCode(F3, _parity(F3, 6)), (2, 2, 2)))  # k = n - 1
+def test_packed_transform_matches_brute_force(case):
+    code, blocks = case
+    q = code.field.order
+    dual = _dual_counts(code, blocks)
+    counts = code_module._macwilliams(q, blocks, dual, q ** (code.n - code.k), q**code.k)
+    assert counts == brute_force_enumerator(code, blocks)
+    assert list(counts) == sorted(counts)
+
+
+def _reference_krawtchouk(q, b, j, i):
+    """K_j(i) for length b over F_q: the coefficient of z^j in
+    (1 + (q - 1) z)^(b - i) (1 - z)^i."""
+    return sum(
+        (-1) ** s * comb(i, s) * comb(b - i, j - s) * (q - 1) ** (j - s)
+        for s in range(min(i, j) + 1)
+    )
+
+
+def test_transform_with_lanes_past_eight_bytes():
+    # a [24, 22] code over F7, the dual of two checks: its largest count
+    # times the 49 dual words passes 2^63, so each lane takes two 8-byte
+    # words (a [23, 21] code's would still fit in one)
+    blocks = (12, 12)
+    checks = LinearCode(F7, [[1] * 24, [i % 7 for i in range(24)]])
+    dual = brute_force_enumerator(checks, blocks)
+    assert sum(dual.values()) == 49
+    expected = {}
+    for j in product(range(13), range(13)):
+        acc = sum(
+            count * prod(_reference_krawtchouk(7, b, jl, il) for b, jl, il in zip(blocks, j, i))
+            for i, count in dual.items()
+        )
+        a, rest = divmod(acc, 49)
+        assert rest == 0
+        if a:
+            expected[j] = a
+    assert max(expected.values()) * 49 >= 2**63
+    counts = code_module._macwilliams(7, blocks, dual, 49, 7**22)
+    assert counts == expected
+    assert sum(counts.values()) == 7**22
+    nonzero = max(p for p in dual if any(p))
+    swapped = dict(dual)
+    swapped[nonzero] -= 1
+    swapped[(1, 0)] = swapped.get((1, 0), 0) + 1
+    with pytest.raises(DefectError, match="MacWilliams transform gives"):
+        code_module._macwilliams(7, blocks, swapped, 49, 7**22)
