@@ -444,7 +444,7 @@ def _macwilliams(q, blocks, dual_counts, dual_size, size):
     tables = krawtchouk_tables(q, blocks)
     total = sum(map(abs, dual_counts.values()))
     bits = (2 * total * q ** sum(blocks)).bit_length()
-    lane = 64 * max(1, -(-bits // 64))  # the fewest 64-bit words that hold 2 total q^n
+    lane = 64 * max(1, -(-bits // 64))
     # the bits of one entry of block l: a node's lanes over the blocks after l
     shifts = list(accumulate((len(t) for t in tables[:0:-1]), mul, initial=lane))[::-1]
     last = len(blocks) - 1
@@ -527,10 +527,11 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     :func:`_macwilliams`, with q the order of the code's field: one pass
     over the dual's nonzero profiles in packed integer lanes, read back
     once and checked exactly.  The counts are kept on the code, once per
-    ``blocks``, and each call returns a copy.  The certificates read them
-    in their space's (weighted weight, lex) order
-    (:attr:`~whmetric.metric.WeightedSpace.nonzero_by_weight`), so no
-    caller sorts or weighs the whole enumerator.
+    ``blocks``, and each call returns a copy.  The certificates walk the
+    counted profiles in (weighted weight, lex) order, read off their
+    space's cached order
+    (:attr:`~whmetric.metric.WeightedSpace.nonzero_by_weight`) unless the
+    space has more profiles than the code has words.
     """
     blocks = tuple(blocks)
     n = len(code.generator[0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 from .code import DEFAULT_LIMITS, split_weight_enumerator, vec_add
 from .construct import GccCode
@@ -29,13 +30,28 @@ def block_weight_enumerator(code, space, limits=DEFAULT_LIMITS) -> dict:
     return split_weight_enumerator(code, space.blocks, limits)
 
 
+def _attained_by_weight(code, space, counts):
+    """The (weighted weight, profile) pairs of the nonzero profiles in
+    ``code``'s enumerator ``counts``, in increasing weight and
+    lexicographically within one weight.
+
+    They are read off ``space``'s own order
+    (:attr:`~whmetric.metric.WeightedSpace.nonzero_by_weight`), built once
+    per space, when the space has no more profiles than the code has
+    words, so that building the order costs no more than the enumerator
+    did.  Otherwise, as for a small code on many short blocks, the
+    enumerator's profiles are sorted instead."""
+    if prod(b + 1 for b in space.blocks) > code.field.order**code.k:
+        return sorted((space.weighted_weight(p), p) for p in counts if any(p))
+    return (pair for pair in space.nonzero_by_weight if pair[1] in counts)
+
+
 def exact_min_weighted_distance(code, space, limits=DEFAULT_LIMITS) -> int:
     """Minimum weighted weight over the nonzero codewords: the weight of
-    the first profile in ``space``'s (weighted weight, lex) order
-    (:attr:`~whmetric.metric.WeightedSpace.nonzero_by_weight`) that a
-    codeword attains."""
+    the first profile a codeword attains in (weighted weight, lex)
+    order."""
     counts = block_weight_enumerator(code, space, limits)
-    return next(w for w, p in space.nonzero_by_weight if p in counts)
+    return next(iter(_attained_by_weight(code, space, counts)))[0]
 
 
 def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
@@ -44,13 +60,12 @@ def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
 
     A profile of weighted weight w has capability in the bracket
     floor((w - 1) / 2) <= cap <= w - 1, so the profiles the codewords
-    attain are walked in ``space``'s (weighted weight, lex) order, and the
-    walk stops once floor((w - 1) / 2) reaches the least capability found
+    attain are walked in (weighted weight, lex) order, and the walk stops
+    once floor((w - 1) / 2) reaches the least capability found
     (:meth:`~whmetric.metric.WeightedSpace._capability_walk`); the
-    dynamic program runs only on the profiles before the stop, and the
-    enumerator is never sorted or weighed as a whole."""
+    dynamic program runs only on the profiles before the stop."""
     counts = block_weight_enumerator(code, space, limits)
-    return space._capability_walk(pair for pair in space.nonzero_by_weight if pair[1] in counts)
+    return space._capability_walk(_attained_by_weight(code, space, counts))
 
 
 def exhaustive_unique_correction_check(code, space, t, limits=DEFAULT_LIMITS) -> bool:

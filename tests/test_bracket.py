@@ -223,3 +223,21 @@ def test_permuted_polyalphabetic_dual_is_reduced_first():
     poly = permute_symbols(mixed_code_from_parity_mother(2), [2, 0, 1])
     assert tuple(row[: poly.k] for row in poly.generator) != identity_rows(poly.k)
     assert list(poly.parity_rows) == kernel_basis(poly.field, poly.generator, poly.total_length)
+
+
+def test_sparse_enumerators_are_sorted_instead_of_building_the_space_order():
+    # a [12, 3] code on twelve one-coordinate blocks: 8 words and 4,096
+    # profiles
+    space = WeightedSpace(2, (1,) * 12, (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3))
+    rows = [[1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0], [0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0]]
+    rows.append([0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1])
+    code = LinearCode(F2, rows)
+    nonzero = [p for p in block_weight_enumerator(code, space) if any(p)]
+    assert exact_min_weighted_distance(code, space) == min(map(space.weighted_weight, nonzero))
+    assert exact_capability(code, space) == min(map(space.profile_capability, nonzero))
+    assert "nonzero_by_weight" not in vars(space)
+    ham = named_code("hamming", F2, 15, 11)
+    dense = WeightedSpace(2, (7, 8), (1, 2))  # 2,048 words and 72 profiles
+    nonzero = [p for p in block_weight_enumerator(ham, dense) if any(p)]
+    assert exact_capability(ham, dense) == min(map(dense.profile_capability, nonzero))
+    assert "nonzero_by_weight" in vars(dense)
