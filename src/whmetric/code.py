@@ -527,11 +527,7 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     :func:`_macwilliams`, with q the order of the code's field: one pass
     over the dual's nonzero profiles in packed integer lanes, read back
     once and checked exactly.  The counts are kept on the code, once per
-    ``blocks``, and each call returns a copy.  The certificates walk the
-    counted profiles in (weighted weight, lex) order, read off their
-    space's cached order
-    (:attr:`~whmetric.metric.WeightedSpace.nonzero_by_weight`) unless the
-    space has more profiles than the code has words.
+    ``blocks``, and each call returns a copy.
     """
     blocks = tuple(blocks)
     n = len(code.generator[0])

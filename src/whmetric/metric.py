@@ -23,8 +23,7 @@ program only on the profiles it leaves undecided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice, product
+from itertools import product
 from math import comb
 from operator import mul
 
@@ -130,33 +129,20 @@ class WeightedSpace:
     def vector_capability(self, v) -> int:
         return self.profile_capability(self.block_profile(v))
 
-    @cached_property
-    def nonzero_by_weight(self) -> tuple:
-        """The (weighted weight, profile) pairs of the nonzero profiles,
-        in increasing weight and lexicographically within one weight."""
-        scales = self.scales
-        profiles = product(*(range(b + 1) for b in self.blocks))
-        return tuple(sorted((sum(map(mul, scales, p)), p) for p in islice(profiles, 1, None)))
-
     def _least_capability(self, profiles) -> int:
         """Smallest capability over ``profiles``: at least one profile of
-        this space, each built by the caller (profiles of component
-        distances), walked in (weighted weight, lex) order by
-        :meth:`_capability_walk`."""
-        scales = self.scales
-        return self._capability_walk(sorted((sum(map(mul, scales, p)), p) for p in profiles))
+        this space, each built by the caller (an enumerator's keys, or
+        profiles of component distances).
 
-    def _capability_walk(self, pairs) -> int:
-        """Smallest capability over the profiles of the (weighted weight w,
-        profile) ``pairs``, which come in increasing w.
-
-        The walk stops at the first profile whose floor((w - 1) / 2)
-        reaches the least capability found so far: no profile from there
-        on can have a smaller one.  Only the profiles before the stop run
+        The profiles are walked in increasing weighted weight w, and the
+        walk stops at the first whose floor((w - 1) / 2) reaches the least
+        capability found so far: no profile from there on can have a
+        smaller one.  Only the profiles before the stop run
         :meth:`profile_capability`, which validates them.
         """
+        scales = self.scales
         best = None
-        for w, profile in pairs:
+        for w, profile in sorted((sum(map(mul, scales, p)), p) for p in profiles):
             if best is not None and (w - 1) // 2 >= best:
                 break
             cap = self.profile_capability(profile)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import prod
+from operator import mul
 
 from .code import DEFAULT_LIMITS, split_weight_enumerator, vec_add
 from .construct import GccCode
@@ -30,28 +30,17 @@ def block_weight_enumerator(code, space, limits=DEFAULT_LIMITS) -> dict:
     return split_weight_enumerator(code, space.blocks, limits)
 
 
-def _attained_by_weight(code, space, counts):
-    """The (weighted weight, profile) pairs of the nonzero profiles in
-    ``code``'s enumerator ``counts``, in increasing weight and
-    lexicographically within one weight.
-
-    They are read off ``space``'s own order
-    (:attr:`~whmetric.metric.WeightedSpace.nonzero_by_weight`), built once
-    per space, when the space has no more profiles than the code has
-    words, so that building the order costs no more than the enumerator
-    did.  Otherwise, as for a small code on many short blocks, the
-    enumerator's profiles are sorted instead."""
-    if prod(b + 1 for b in space.blocks) > code.field.order**code.k:
-        return sorted((space.weighted_weight(p), p) for p in counts if any(p))
-    return (pair for pair in space.nonzero_by_weight if pair[1] in counts)
+def _nonzero_profiles(code, space, limits):
+    """The enumerator's keys after its first, the zero profile."""
+    return list(block_weight_enumerator(code, space, limits))[1:]
 
 
 def exact_min_weighted_distance(code, space, limits=DEFAULT_LIMITS) -> int:
-    """Minimum weighted weight over the nonzero codewords: the weight of
-    the first profile a codeword attains in (weighted weight, lex)
-    order."""
-    counts = block_weight_enumerator(code, space, limits)
-    return next(iter(_attained_by_weight(code, space, counts)))[0]
+    """Minimum weighted weight over the nonzero codewords: each profile's
+    dot product with the scales, the enumerator's keys being profiles of
+    ``space`` already."""
+    scales = space.scales
+    return min(sum(map(mul, scales, p)) for p in _nonzero_profiles(code, space, limits))
 
 
 def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
@@ -59,13 +48,12 @@ def exact_capability(code, space, limits=DEFAULT_LIMITS) -> int:
     nonzero codeword's profile.
 
     A profile of weighted weight w has capability in the bracket
-    floor((w - 1) / 2) <= cap <= w - 1, so the profiles the codewords
-    attain are walked in (weighted weight, lex) order, and the walk stops
-    once floor((w - 1) / 2) reaches the least capability found
-    (:meth:`~whmetric.metric.WeightedSpace._capability_walk`); the
+    floor((w - 1) / 2) <= cap <= w - 1, so the profiles are walked in
+    increasing weight and the walk stops once floor((w - 1) / 2) reaches
+    the least capability found
+    (:meth:`~whmetric.metric.WeightedSpace._least_capability`); the
     dynamic program runs only on the profiles before the stop."""
-    counts = block_weight_enumerator(code, space, limits)
-    return space._capability_walk(_attained_by_weight(code, space, counts))
+    return space._least_capability(_nonzero_profiles(code, space, limits))
 
 
 def exhaustive_unique_correction_check(code, space, t, limits=DEFAULT_LIMITS) -> bool:

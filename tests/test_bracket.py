@@ -171,7 +171,7 @@ def _sorted_walk(space, counts):
 
 
 @pytest.mark.parametrize("index", range(3))
-def test_weight_order_walk_runs_the_program_on_the_sorted_walks_profiles(monkeypatch, index):
+def test_capability_runs_the_program_on_the_sorted_walks_profiles(monkeypatch, index):
     code, space = _certify_codes()[index]
     expected = _sorted_walk(space, split_weight_enumerator(code, space.blocks))
     calls = []
@@ -184,14 +184,6 @@ def test_weight_order_walk_runs_the_program_on_the_sorted_walks_profiles(monkeyp
     monkeypatch.setattr(WeightedSpace, "profile_capability", counted)
     exact_capability(code, space)
     assert calls == expected
-
-
-def test_weight_order_lists_every_nonzero_profile_by_weight_then_lex():
-    space = WeightedSpace(3, (2, 1, 3), (1, 2, 2))
-    profiles = [p for p in product(range(3), range(2), range(4)) if any(p)]
-    expected = sorted((space.weighted_weight(p), p) for p in profiles)
-    assert list(space.nonzero_by_weight) == expected
-    assert space.nonzero_by_weight is space.nonzero_by_weight
 
 
 @pytest.mark.parametrize(
@@ -224,20 +216,3 @@ def test_permuted_polyalphabetic_dual_is_reduced_first():
     assert tuple(row[: poly.k] for row in poly.generator) != identity_rows(poly.k)
     assert list(poly.parity_rows) == kernel_basis(poly.field, poly.generator, poly.total_length)
 
-
-def test_sparse_enumerators_are_sorted_instead_of_building_the_space_order():
-    # a [12, 3] code on twelve one-coordinate blocks: 8 words and 4,096
-    # profiles
-    space = WeightedSpace(2, (1,) * 12, (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3))
-    rows = [[1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0], [0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0]]
-    rows.append([0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1])
-    code = LinearCode(F2, rows)
-    nonzero = [p for p in block_weight_enumerator(code, space) if any(p)]
-    assert exact_min_weighted_distance(code, space) == min(map(space.weighted_weight, nonzero))
-    assert exact_capability(code, space) == min(map(space.profile_capability, nonzero))
-    assert "nonzero_by_weight" not in vars(space)
-    ham = named_code("hamming", F2, 15, 11)
-    dense = WeightedSpace(2, (7, 8), (1, 2))  # 2,048 words and 72 profiles
-    nonzero = [p for p in block_weight_enumerator(ham, dense) if any(p)]
-    assert exact_capability(ham, dense) == min(map(dense.profile_capability, nonzero))
-    assert "nonzero_by_weight" in vars(dense)
