@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, chain, combinations, compress, groupby, islice, product
 from math import comb, prod
-from operator import mul, xor
+from operator import mul, ne, xor
 from struct import calcsize
 from sys import byteorder
 
@@ -71,15 +71,24 @@ FAIL = None  # decoders signal failure with None
 # Vectors are built from lists, not generators: tuple() of a generator
 # grows its result by reallocation, past CPython's per-length tuple free
 # lists, while freeing the result fills them, so a long codeword scan
-# would leave up to 2000 spare tuples of its vector length behind.
+# would leave up to 2000 spare tuples of its vector length behind.  Over
+# a tabled field (order <= 256) a sum is read off the add table's rows,
+# u - v as u + (-v); a larger field calls its per-element arithmetic.
 
 
 def vec_add(field, u, v):
-    return tuple([field.add(a, b) for a, b in zip(u, v)])
+    table = field._add_table
+    if table is None:
+        return tuple([field.add(a, b) for a, b in zip(u, v)])
+    return tuple([table[a][b] for a, b in zip(u, v)])
 
 
 def vec_sub(field, u, v):
-    return tuple([field.sub(a, b) for a, b in zip(u, v)])
+    table = field._add_table
+    if table is None:
+        return tuple([field.sub(a, b) for a, b in zip(u, v)])
+    neg = field._neg_table
+    return tuple([table[a][neg[b]] for a, b in zip(u, v)])
 
 
 def vec_scale(field, c, u):
@@ -90,20 +99,8 @@ def vec_scale(field, c, u):
     return tuple([field.mul(c, a) for a in u])
 
 
-def vec_dot(field, u, v):
-    out = 0
-    for a, b in zip(u, v):
-        if a and b:
-            out = field.add(out, field.mul(a, b))
-    return out
-
-
-def hamming_weight(v):
-    return sum(1 for x in v if x)
-
-
 def hamming_distance(u, v):
-    return sum(1 for a, b in zip(u, v) if a != b)
+    return sum(map(ne, u, v))
 
 
 def _combine(field, rows, coeffs, length):
@@ -590,6 +587,7 @@ class LinearCode:
         self._enumerators = {}
         self._syndrome_table = None
         self._solvers = {}  # kept coordinates -> _KeptSet, for erasure_decode
+        self._kept = {}  # frozenset of erased symbols -> (kept spans, kept coordinates)
         self._offsets = tuple((i, i + 1) for i in range(n))  # one symbol per coordinate
 
     def __repr__(self):
@@ -666,16 +664,24 @@ class LinearCode:
         return table
 
     def bmd_decode(self, r):
-        """Unique codeword within (d-1)//2 of r, else FAIL (None)."""
+        """Unique codeword within (d-1)//2 of r, else FAIL (None).
+
+        The syndrome table, built on the first call when q^(n-k) is at
+        most ``SYNDROME_TABLE_LIMIT``, fixes the radius, so a later call
+        goes from the symbol check straight to the lookup; a larger code
+        scans its codewords."""
         self._check_word(r)
-        radius = (self._decoding_distance() - 1) // 2
-        if self.field.order ** (self.n - self.k) <= SYNDROME_TABLE_LIMIT:
-            if self._syndrome_table is None:
-                self._syndrome_table = self._build_syndrome_table(radius)
-            e = self._syndrome_table.get(self._checks(r))
-            if e is None:
-                return FAIL
-            return vec_sub(self.field, r, e)
+        table = self._syndrome_table
+        if table is None:
+            radius = (self._decoding_distance() - 1) // 2
+            if self.field.order ** (self.n - self.k) <= SYNDROME_TABLE_LIMIT:
+                table = self._syndrome_table = self._build_syndrome_table(radius)
+        if table is not None:
+            syndrome = self._checks(r)
+            if not any(syndrome):
+                return tuple(r)  # a codeword, at distance 0
+            e = table.get(syndrome)
+            return FAIL if e is None else vec_sub(self.field, r, e)
         best, best_d = None, radius + 1
         for c in self.codewords():
             dist = hamming_distance(c, r)
@@ -741,7 +747,11 @@ class _KeptSet:
 
     def syndrome(self, field, word, image):
         """``word`` minus its re-encoding ``image``, on ``rest``."""
-        return tuple([field.sub(word[c], image[c]) for c in self.rest])
+        table = field._add_table
+        if table is None:
+            return tuple([field.sub(word[c], image[c]) for c in self.rest])
+        neg = field._neg_table
+        return tuple([table[word[c]][neg[image[c]]] for c in self.rest])
 
 
 def _kept_set(code, cols):
@@ -826,15 +836,17 @@ def _erasures_core(code, erased, distance, received):
 
     ``erased`` is a set of symbol indices into ``code._offsets``; s of
     them leave a budget of e = (d - 1 - s) // 2 errors on the kept
-    symbols.  The kept coordinates' :class:`_KeptSet` is built on first
-    use and kept in ``code._solvers``, one per kept-coordinate set.  When
-    e = 0 the answer is the re-encoding of the received word, if its
-    syndrome is zero.  Otherwise the syndrome's entry in the set's error
-    table gives the error's re-encoding to subtract.  The table holds
-    every pattern within the radius the set's nonzero-width erasures
-    allow; any two codewords differ in more than twice that many kept
-    symbols, so the word it finds within e is the scan's unique nearest
-    one.  A set whose table would outnumber the codewords scans them.
+    symbols.  The kept spans and coordinates are listed once per erased
+    set, in ``code._kept``.  The kept coordinates' :class:`_KeptSet` is
+    built on first use and kept in ``code._solvers``, one per
+    kept-coordinate set.  When e = 0 the answer is the re-encoding of
+    the received word, if its syndrome is zero.  Otherwise the
+    syndrome's entry in the set's error table gives the error's
+    re-encoding to subtract.  The table holds every pattern within the
+    radius the set's nonzero-width erasures allow; any two codewords
+    differ in more than twice that many kept symbols, so the word it
+    finds within e is the scan's unique nearest one.  A set whose table
+    would outnumber the codewords scans them.
     A kept set of rank below k matches every word to several codewords,
     so it always fails, as the scan's tie rule does.
     """
@@ -842,8 +854,12 @@ def _erasures_core(code, erased, distance, received):
     if s >= distance:
         return FAIL
     received = tuple(received)
-    kept = [span for i, span in enumerate(code._offsets) if i not in erased]
-    cols = tuple(c for lo, hi in kept for c in range(lo, hi))
+    key = frozenset(erased)
+    memo = code._kept.get(key)
+    if memo is None:
+        kept = tuple([span for i, span in enumerate(code._offsets) if i not in key])
+        memo = code._kept[key] = kept, tuple([c for lo, hi in kept for c in range(lo, hi)])
+    kept, cols = memo
     if cols not in code._solvers:
         code._solvers[cols] = _kept_set(code, cols)
     entry = code._solvers[cols]
@@ -853,9 +869,8 @@ def _erasures_core(code, erased, distance, received):
     word = entry.encode(received)
     e = (distance - 1 - s) // 2
     if e == 0:
-        if any(word[c] != received[c] for c in entry.rest):
-            return FAIL
-        return word
+        rest = entry.rest
+        return word if [word[c] for c in rest] == [received[c] for c in rest] else FAIL
     if entry.radius is None:
         nonempty = sum(1 for i in erased if code._offsets[i][1] > code._offsets[i][0])
         _build_error_table(code, entry, kept, (distance - 1 - nonempty) // 2)
@@ -864,7 +879,7 @@ def _erasures_core(code, erased, distance, received):
     found = entry.table.get(entry.syndrome(field, received, word))
     if found is None or found[0] > e:
         return FAIL
-    return vec_sub(field, word, found[1])
+    return vec_sub(field, word, found[1]) if found[0] else word
 
 
 # -- polyalphabetic codes ---------------------------------------------------
@@ -918,6 +933,7 @@ class PolyalphabeticCode:
         self._source = None  # the code this one's symbols were permuted from
         self._enumerators = {}
         self._solvers = {}  # kept coordinates -> _KeptSet, for erasure_decode
+        self._kept = {}  # frozenset of erased symbols -> (kept spans, kept coordinates)
         offsets, start = [], 0
         for s in sizes:
             offsets.append((start, start + s))
@@ -948,7 +964,7 @@ class PolyalphabeticCode:
         return _Product(self.field, self.generator, self.total_length)
 
     def symbols(self, v):
-        return tuple(tuple(v[lo:hi]) for lo, hi in self._offsets)
+        return tuple([tuple(v[lo:hi]) for lo, hi in self._offsets])
 
     def symbol(self, v, i):
         lo, hi = self._offsets[i]
@@ -999,7 +1015,7 @@ class PolyalphabeticCode:
             raise ParameterError(f"vector length {len(r)} != code length {self.total_length}")
         self.field.validate_all(r)
         erased = set(erased)
-        if any(not 0 <= p < self.n_symbols for p in erased):
+        if erased and (min(erased) < 0 or max(erased) >= self.n_symbols):
             raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
         return _erasures_core(self, erased, self._decoding_distance(), r)
 

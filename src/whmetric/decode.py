@@ -41,12 +41,11 @@ def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities):
     m = outer.n_symbols
     if len(symbols) != m or len(reliabilities) != m:
         raise ParameterError(f"need one symbol and one reliability per position ({m})")
-    for sym, size in zip(symbols, outer.sizes):
-        if len(sym) != size:
-            raise ParameterError("symbol widths do not match the outer code")
-    if any(a < 0 for a in reliabilities):
+    if tuple(map(len, symbols)) != outer.sizes:
+        raise ParameterError("symbol widths do not match the outer code")
+    if min(reliabilities) < 0:
         raise ParameterError("reliabilities must be non-negative")
-    received = tuple(x for sym in symbols for x in sym)
+    received = tuple([x for sym in symbols for x in sym])
     outer.field.validate_all(received)
     d = outer._decoding_distance()
     # zero-width symbols carry no information and are never erased
@@ -60,21 +59,14 @@ def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities):
         cand = outer.erasure_decode(received, erased)
         if cand is not FAIL and cand not in candidates:
             candidates.append(cand)
-    if not candidates:
-        return FAIL
+    if len(candidates) < 2:
+        return candidates[0] if candidates else FAIL
+
     def correlation(cand):
-        total = 0
-        for l in range(m):
-            sigma = 1 if outer.symbol(cand, l) == symbols[l] else -1
-            total += reliabilities[l] * sigma
-        return total
-    best = candidates[0]
-    best_corr = correlation(best)
-    for cand in candidates[1:]:
-        corr = correlation(cand)
-        if corr > best_corr:
-            best, best_corr = cand, corr
-    return best
+        pairs = zip(reliabilities, outer.symbols(cand), symbols)
+        return sum([a if got == sym else -a for a, got, sym in pairs])
+
+    return max(candidates, key=correlation)  # ties go to the earliest candidate
 
 
 @dataclass

@@ -8,7 +8,7 @@ their code path.
 
 from itertools import product
 
-from whmetric.code import LinearCode, NestedChain, PolyalphabeticCode, named_code
+from whmetric.code import Limits, LinearCode, NestedChain, PolyalphabeticCode, named_code
 from whmetric.construct import build_gcc, outer_code, poly_from_mother
 from whmetric.field import make_extension_field, make_prime_field
 from whmetric.metric import WeightedSpace
@@ -41,6 +41,19 @@ def capability_by_splits(space, v):
         if best is None or val < best:
             best = val
     return best - 1
+
+
+def hamming_weight(v):
+    return sum(1 for x in v if x)
+
+
+def vec_dot(field, u, v):
+    """The dot product of u and v, one field operation per coordinate."""
+    out = 0
+    for a, b in zip(u, v):
+        if a and b:
+            out = field.add(out, field.mul(a, b))
+    return out
 
 
 def message_codeword_pairs(code):
@@ -123,6 +136,18 @@ def two_level_code():
     outer1 = PolyalphabeticCode(F2, (1, 2), [(1, 1, 1)])
     outer2 = outer_code(F2, (1, 1))
     return space, build_gcc(space, [chain1, chain2], [outer1, outer2])
+
+
+# 2^26 codewords, past the default limits
+RAISED_LIMITS = Limits(max_codewords=1 << 26)
+
+
+def hamming_31_under_raised_limits():
+    """The binary [31, 26] Hamming code, its distance reduced under
+    ``RAISED_LIMITS`` before any decoder runs."""
+    code = named_code("hamming", F2, 31)
+    code.min_distance(RAISED_LIMITS)
+    return code
 
 
 def hamming_concatenation():

@@ -1,18 +1,27 @@
+import random
 import re
 from itertools import product
 
 import pytest
 
-from helpers import F2, F3, F7, message_codeword_pairs
+from helpers import (
+    F2,
+    F3,
+    F7,
+    RAISED_LIMITS,
+    hamming_31_under_raised_limits,
+    hamming_weight,
+    message_codeword_pairs,
+)
 from whmetric.code import (
     FAIL,
+    SYNDROME_TABLE_LIMIT,
     Limits,
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
     format_matrix,
     hamming_distance,
-    hamming_weight,
     named_code,
     parse_matrix_text,
 )
@@ -129,6 +138,49 @@ def test_bmd_examples():
     assert rep3.bmd_decode((1, 2, 0)) is FAIL
     full = named_code("full", F2, 3, 3)
     assert full.bmd_decode((1, 0, 1)) == (1, 0, 1)  # radius 0, always itself
+
+
+@pytest.mark.parametrize(
+    "make, tabled",
+    (
+        (lambda: named_code("hamming", F2, 7), True),
+        (lambda: named_code("hamming", F7, 8), True),
+        (lambda: named_code("repetition", F2, 22), False),  # 2^21 syndromes
+        (lambda: named_code("repetition", F3, 14), False),  # 3^13 syndromes
+        (hamming_31_under_raised_limits, True),
+    ),
+    ids=("hamming-7", "hamming-8-q7", "repetition-22", "repetition-14-q3", "hamming-31-limits"),
+)
+def test_bmd_decode_gives_the_same_codeword_cold_and_warm(make, tabled):
+    code = make()
+    q, n = code.field.order, code.n
+    assert (q ** (n - code.k) <= SYNDROME_TABLE_LIMIT) == tabled
+    radius = (code.min_distance(RAISED_LIMITS) - 1) // 2
+    rng = random.Random(n)
+    for errors in (0, 1, radius, radius + 1, n // 2):
+        sent = code.encode([rng.randrange(q) for _ in range(code.k)])
+        received = list(sent)
+        for p in rng.sample(range(n), errors):
+            received[p] = code.field.add(received[p], rng.randrange(1, q))
+        received = tuple(received)
+        fresh = make()
+        cold = fresh.bmd_decode(received)
+        assert (fresh._syndrome_table is not None) == tabled
+        assert fresh.bmd_decode(received) == cold  # warm
+        assert code.bmd_decode(received) == cold  # warm, after other words
+        assert code.bmd_decode(list(received)) == cold  # a tuple back for a list
+        if errors <= radius:
+            assert cold == sent
+        else:
+            assert cold is FAIL or (code.contains(cold) and hamming_distance(cold, received) <= radius)
+
+
+def test_default_limits_refuse_to_decode_past_them_until_a_distance_is_reduced():
+    code = named_code("hamming", F2, 31)
+    with pytest.raises(ExhaustionError):
+        code.bmd_decode((0,) * 31)
+    assert code.min_distance(RAISED_LIMITS) == 3
+    assert code.bmd_decode((1,) + (0,) * 30) == (0,) * 31
 
 
 def test_bmd_round_trip_within_radius():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import F2, F3, F7
+from helpers import F2, F3, F7, vec_dot
 from whmetric import code as code_module
 from whmetric.code import (
     Limits,
@@ -22,7 +22,6 @@ from whmetric.code import (
     PolyalphabeticCode,
     named_code,
     split_weight_enumerator,
-    vec_dot,
 )
 from whmetric.errors import DefectError, ExhaustionError, ParameterError
 from whmetric.field import make_extension_field, make_prime_field

@@ -4,18 +4,29 @@ the validation that keeps every symbol it sees inside the field.
 Over a prime field whose lane sums k (q - 1)^2 fit in 8 bytes,
 ``code._Product`` packs each row into one integer with a byte lane per
 coordinate; any other field calls ``code._combine``, which stays the
-reference.  A symbol outside the field would spill into the next lane
-without an error, so every public entry that reaches a product refuses
-one first.
+reference.  Vector sums and differences over a field of at most 256
+elements index its add table's rows, checked here against the
+per-element ``Field.add`` and ``Field.sub``.  A symbol outside the field
+would spill into the next lane, or index the wrong table row, without
+an error, so every public entry that reaches a product refuses one
+first, on its first call and on every warm one.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import F2, F3, F7, hamming_concatenation, mixed_code_from_parity_mother
+from helpers import (
+    F2,
+    F3,
+    F7,
+    hamming_31_under_raised_limits,
+    hamming_concatenation,
+    mixed_code_from_parity_mother,
+    vec_dot,
+)
 from whmetric import code as code_module
-from whmetric.code import LinearCode, NestedChain, _combine, _Product, named_code, vec_dot
+from whmetric.code import LinearCode, NestedChain, _combine, _Product, named_code
 from whmetric.decode import gcc_decode, gmd_decode
 from whmetric.errors import ParameterError
 from whmetric.field import make_extension_field, make_prime_field
@@ -23,6 +34,8 @@ from whmetric.field import make_extension_field, make_prime_field
 F257 = make_prime_field(257)  # past the table limit: raw arithmetic
 F4 = make_extension_field(2, 2)
 F8 = make_extension_field(2, 3)
+F9 = make_extension_field(3, 2)
+F512 = make_extension_field(2, 9)  # past the table limit: raw arithmetic
 MERSENNE_31 = make_prime_field(2**31 - 1)  # 4 (q - 1)^2 < 2^64 < 5 (q - 1)^2
 
 FIELDS = (F2, F3, F7, F257, F4, F8)
@@ -111,6 +124,30 @@ def test_extension_fields_and_wide_primes_call_the_combination(monkeypatch):
     assert calls == []
 
 
+# -- vector sums off the field tables -----------------------------------------
+
+
+@st.composite
+def vector_pairs(draw):
+    field = draw(st.sampled_from((F2, F3, F7, F4, F9, F512)))
+    entry = st.integers(0, field.order - 1)
+    n = draw(st.integers(1, 6))
+    u, v = (tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+    return field, u, v, draw(st.lists(st.integers(0, n - 1), max_size=n))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(vector_pairs())
+def test_vector_sums_match_the_field_operations(case):
+    field, u, v, rest = case
+    # fields up to the table limit read the tables, larger ones call add and sub
+    assert (field._add_table is None) == (field is F512)
+    assert code_module.vec_add(field, u, v) == tuple(field.add(a, b) for a, b in zip(u, v))
+    assert code_module.vec_sub(field, u, v) == tuple(field.sub(a, b) for a, b in zip(u, v))
+    kept = code_module._KeptSet((), None, rest)
+    assert kept.syndrome(field, u, v) == tuple(field.sub(u[c], v[c]) for c in rest)
+
+
 @st.composite
 def codes_and_words(draw):
     field = draw(st.sampled_from(FIELDS))
@@ -151,6 +188,11 @@ def hamming_f7():
     return named_code("hamming", F7, 8)
 
 
+def repetition_f2_22():
+    """2^21 syndromes, past SYNDROME_TABLE_LIMIT: bmd_decode scans."""
+    return named_code("repetition", F2, 22)
+
+
 def with_bad_symbol(word, bad):
     return (bad,) + tuple(word[1:])
 
@@ -164,13 +206,17 @@ ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
-@pytest.mark.parametrize("make", [hamming_f2, hamming_f7])
+@pytest.mark.parametrize(
+    "make", [hamming_f2, hamming_f7, repetition_f2_22, hamming_31_under_raised_limits]
+)
 @pytest.mark.parametrize("bad", BAD_SYMBOLS)
 def test_linear_code_entries_refuse_symbols_outside_the_field(entry, make, bad):
     code = make()
-    ENTRIES[entry](code, (0,) * code.n)  # a valid call first, so the products exist
+    zero = (0,) * code.n
+    first = ENTRIES[entry](code, zero)  # a valid call first: the products and tables exist
     with pytest.raises(ParameterError):
-        ENTRIES[entry](code, with_bad_symbol((0,) * code.n, bad))
+        ENTRIES[entry](code, with_bad_symbol(zero, bad))
+    assert ENTRIES[entry](code, zero) == first  # the warm path, after the refusal
 
 
 @pytest.mark.parametrize("bad", BAD_SYMBOLS)

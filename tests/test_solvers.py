@@ -5,8 +5,8 @@ level's basis, or a generator restricted to the coordinates an erasure
 trial keeps.  Each is row-reduced once, and a trial that allows errors
 looks its syndrome up in a table built once per kept-coordinate set.
 These tests compare the solves and the lookups with a search over every
-codeword, on a cold and on a warm cache, and count the row reductions
-and codeword scans of a warmed decoder.
+codeword, on a cold and on a warm cache, and count the row reductions,
+codeword scans and per-coordinate field calls of a warmed decoder.
 """
 
 import os
@@ -31,7 +31,7 @@ from whmetric.code import (
 from whmetric.construct import outer_code
 from whmetric.decode import gcc_decode
 from whmetric.errors import ParameterError
-from whmetric.field import make_extension_field
+from whmetric.field import Field, make_extension_field
 
 F4 = make_extension_field(2, 2)
 
@@ -396,3 +396,45 @@ def test_a_warmed_decoder_makes_no_row_reduction(monkeypatch):
     list(gcc.outers[0].codewords())
     assert streams == [gcc.outers[0]]  # the counter sees a stream
     assert [r.to_json() for r in warm] == [r.to_json() for r in cold]
+
+
+# Field.validate_all calls on the warm pass below, recorded at the commit
+# before vector sums were read off the add tables (which then made 3,360
+# add and 7,800 sub calls on rs4, 660 and 1,320 on q7): every symbol check
+# of the decode path stays.
+WARM_VALIDATIONS = {"rs4": 1860, "q7": 540}
+
+
+@pytest.mark.parametrize("tag", sorted(WARM_VALIDATIONS))
+def test_a_warmed_decoder_makes_no_field_call_per_coordinate(monkeypatch, tag):
+    config = os.path.join(os.path.dirname(RS4_CONFIG), f"{tag}.cfg")
+    gcc = cli.build_gcc_from_config(cli.parse_config(config))
+    words = _noisy_words(gcc, 60, seed=9)
+    cold = [gcc_decode(gcc, w) for w in words]
+    calls = {"add": 0, "sub": 0, "validate_all": 0}
+    for name in calls:
+        method = getattr(Field, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(Field, name, counted)
+    warm = [gcc_decode(gcc, w) for w in words]
+    assert calls == {"add": 0, "sub": 0, "validate_all": WARM_VALIDATIONS[tag]}
+    assert [r.to_json() for r in warm] == [r.to_json() for r in cold]
+
+
+def test_one_kept_set_per_erased_set_however_it_is_named():
+    gcc = cli.build_gcc_from_config(cli.parse_config(RS4_CONFIG))
+    outer = gcc.outers[0]  # [4, 2] Reed-Solomon over GF(8) as 3-bit symbols, d = 3
+    sent = outer.encode((1, 0, 1, 1, 0, 1))
+    received = (1 - sent[0],) + sent[1:]  # symbol 0 is wrong, and erased below
+    outer._solvers.clear()
+    outer._kept.clear()
+    for erased in ([0, 2], (2, 0), {0, 2}, frozenset((2, 0)), [2, 0]):
+        assert outer.erasure_decode(received, erased) == sent
+    assert list(outer._kept) == [frozenset((0, 2))]
+    kept, cols = outer._kept[frozenset((0, 2))]
+    assert kept == ((3, 6), (9, 12)) and cols == (3, 4, 5, 9, 10, 11)
+    assert list(outer._solvers) == [cols]
