@@ -1,4 +1,10 @@
-"""Linear block codes, polyalphabetic codes, and nested code chains.
+"""Polyalphabetic codes, linear codes, and nested code chains.
+
+A :class:`PolyalphabeticCode` groups its n coordinates into consecutive
+symbols and counts distance in nonzero symbols.  A :class:`LinearCode`
+is the one whose symbols are single coordinates; it adds what only the
+Hamming metric uses: the syndrome, its table decoder and the structure
+tests on reduced generators.
 
 Vectors are tuples of serialized field elements (see :mod:`.field`), so
 they hash and compare structurally.  Distances are exact reductions of a
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from itertools import accumulate, chain, combinations, compress, groupby, islice, product
 from math import comb, prod
@@ -56,10 +62,18 @@ SYNDROME_TABLE_LIMIT = 1 << 20
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps on exhaustive enumeration, shared by every scan that refuses."""
+    """Caps on exhaustive enumeration, shared by every scan that refuses.
+
+    Each cap is a non-negative integer; a cap of 0 refuses every scan."""
 
     max_codewords: int = 1 << 20
     max_ambient: int = 1 << 22
+
+    def __post_init__(self):
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if not isinstance(value, int) or value < 0:
+                raise ParameterError(f"{cap.name} must be a non-negative integer, got {value!r}")
 
 
 DEFAULT_LIMITS = Limits()
@@ -527,9 +541,8 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     ``blocks``, and each call returns a copy.
     """
     blocks = tuple(blocks)
-    n = len(code.generator[0])
-    if any(b < 0 for b in blocks) or sum(blocks) != n:
-        raise ParameterError(f"blocks {blocks} do not cover the code length {n}")
+    if any(b < 0 for b in blocks) or sum(blocks) != code.n:
+        raise ParameterError(f"blocks {blocks} do not cover the code length {code.n}")
     size = _admit(code, limits)
     counts = code._enumerators.get(blocks)
     if counts is None:
@@ -542,70 +555,117 @@ def _split_counts(code, blocks, size):
     whichever of the code and its dual is cheaper.
 
     The dual's basis is the code's cached ``parity_rows``, read off a
-    reduced generator: a :class:`LinearCode` holds one, and a
-    :class:`PolyalphabeticCode` built as [I | A] is one.  So a dual scan
-    of either does no elimination of its own."""
+    generator built as [I | A] or off the reduced form a
+    :class:`LinearCode` holds, so a dual scan does no elimination of
+    its own."""
     field = code.field
     q = field.order
-    r = len(code.generator[0]) - code.k
+    r = code.n - code.k
     if q**r + prod(b + 1 for b in blocks) >= size:
         return dict(sorted(_packed_counts(field, code.generator, blocks).items()))
     dual_counts = _packed_counts(field, code.parity_rows, blocks)
     return _macwilliams(q, blocks, dual_counts, q**r, size)
 
 
-# -- linear codes -----------------------------------------------------------
+# -- codes ------------------------------------------------------------------
 
 
-class LinearCode:
-    """An [n, k] linear code over a field, given by spanning generator rows.
+def _symbol_sizes(sizes):
+    sizes = tuple(int(s) for s in sizes)
+    if any(s < 0 for s in sizes):
+        raise ParameterError("symbol sizes must be non-negative")
+    if sum(sizes) < 1:
+        raise ParameterError("total length must be positive")
+    return sizes
 
-    Construction row-reduces the input, drops dependent rows, and records
-    an information set (the pivot columns of the reduced form).
+
+class PolyalphabeticCode:
+    """An F_q-linear code of length n whose coordinates group into
+    consecutive symbols of given sizes.
+
+    Distance counts symbols whose coordinate slice is nonzero; zero-width
+    symbols are legal and never count as nonzero.  Construction drops
+    dependent generator rows; the generator is row-reduced only when
+    ``rref`` or ``pivots`` is first read.
     """
 
-    def __init__(self, field: Field, rows):
+    def __init__(self, field: Field, sizes, rows):
         if not isinstance(field, Field):
             raise ParameterError("first argument must be a Field")
         rows = [tuple(r) for r in rows]
         if not rows:
             raise ParameterError("generator matrix is empty")
-        n = len(rows[0])
-        if n < 1 or any(len(r) != n for r in rows):
-            raise ParameterError("generator rows must be non-empty and equally long")
+        sizes = _symbol_sizes(sizes)
+        n = sum(sizes)
+        if any(len(r) != n for r in rows):
+            raise ParameterError(f"generator rows must all have length {n}")
         for r in rows:
             field.validate_all(r)
         keep = independent_rows(field, rows)
         if not keep:
             raise ParameterError("generator matrix has rank 0")
+        self._set_basis(field, sizes, keep)
+
+    @classmethod
+    def _from_basis(cls, field, sizes, rows):
+        """The code spanned by ``rows``, which the caller derived from an
+        independent basis over ``field`` as rows of length sum(sizes):
+        only the sizes are checked, and the rows are not reduced."""
+        code = cls.__new__(cls)
+        code._set_basis(field, _symbol_sizes(sizes), rows)
+        return code
+
+    def _set_basis(self, field, sizes, basis):
         self.field = field
-        self.n = n
-        self.generator = tuple(keep)
-        self.k = len(keep)
-        self.rref, self.pivots = row_reduce(field, keep)
+        self.sizes = sizes
+        self.n = sum(sizes)
+        self.generator = tuple(basis)
+        self.k = len(self.generator)
         self._distance = None
+        self._source = None  # the code this one's symbols were permuted from
         self._enumerators = {}
-        self._syndrome_table = None
         self._solvers = {}  # kept coordinates -> _KeptSet, for erasure_decode
         self._kept = {}  # frozenset of erased symbols -> (kept spans, kept coordinates)
-        self._offsets = tuple((i, i + 1) for i in range(n))  # one symbol per coordinate
+        offsets, start = [], 0
+        for s in sizes:
+            offsets.append((start, start + s))
+            start += s
+        self._offsets = tuple(offsets)
 
     def __repr__(self):
-        return f"LinearCode([{self.n}, {self.k}] over {self.field!r})"
+        return f"PolyalphabeticCode(sizes={self.sizes}, k={self.k})"
+
+    @property
+    def n_symbols(self):
+        return len(self.sizes)
+
+    @cached_property
+    def rref(self):
+        """The generator's reduced row echelon form."""
+        return row_reduce(self.field, self.generator)[0]
+
+    @cached_property
+    def pivots(self):
+        """The pivot columns of ``rref``: an information set."""
+        return [_leading_index(row) for row in self.rref]
 
     @cached_property
     def parity_rows(self):
-        """A basis of the dual code, read off the reduced generator."""
-        return tuple(_rref_kernel(self.field, self.rref, self.pivots, self.n))
+        """A basis of the dual code over the coordinates, read off a
+        reduced generator: the generator itself when it is [I | A], as every
+        code :func:`~whmetric.construct.poly_from_mother` builds is, so the
+        basis is [-A^T | I] with no elimination; otherwise ``rref``."""
+        rows, pivots = self.generator, range(self.k)
+        if any(row[: self.k] != unit for row, unit in zip(rows, identity_rows(self.k))):
+            rows, pivots = self.rref, self.pivots
+        return tuple(_rref_kernel(self.field, rows, pivots, self.n))
 
     @cached_property
     def _encoder(self):
         return _Product(self.field, self.generator, self.n)
 
-    @cached_property
-    def _checks(self):
-        """v -> v . H^T for the parity rows H: the syndrome, () when n = k."""
-        return _Product(self.field, zip(*self.parity_rows), self.n - self.k)
+    def symbols(self, v):
+        return tuple([tuple(v[lo:hi]) for lo, hi in self._offsets])
 
     def encode(self, message):
         if len(message) != self.k:
@@ -618,16 +678,86 @@ class LinearCode:
             raise ParameterError(f"vector length {len(v)} != code length {self.n}")
         self.field.validate_all(v)
 
+    def codewords(self):
+        """All codewords, streamed in lexicographic message order."""
+        return _stream_combinations(self.field, self.generator, self.n)
+
+    def min_block_distance(self, limits=DEFAULT_LIMITS):
+        """Exact minimum number of nonzero symbols over nonzero codewords:
+        the fewest nonzero entries of a nonzero profile of the split
+        weight enumerator over the symbols.
+
+        The whole space contains a unit vector, so its distance is 1
+        without a scan.  Any other code is admitted under ``limits`` on
+        every call; the distance is reduced once.  A code whose symbols
+        were permuted from another (:func:`whmetric.construct.permute_symbols`)
+        has that code's q^k words and its distance, since a symbol
+        permutation maps each codeword's nonzero symbols one-to-one: it is
+        admitted itself, then reads the distance scanned on the other code,
+        which is scanned at most once for all its permuted images."""
+        if self.k == self.n:
+            return 1
+        _admit(self, limits)
+        if self._distance is None:
+            scanned = self._source or self
+            if scanned._distance is None:
+                profiles = split_weight_enumerator(scanned, scanned.sizes, limits)
+                scanned._distance = min(len(p) - p.count(0) for p in profiles if any(p))
+            self._distance = scanned._distance
+        return self._distance
+
+    def _decoding_distance(self):
+        """The block distance the decoders work to: the one already
+        reduced, whatever limits admitted it, or else one admitted under
+        the default limits."""
+        return self.min_block_distance() if self._distance is None else self._distance
+
+    def erasure_decode(self, r, erased):
+        """Errors-and-erasures decoding over symbols: the unique codeword
+        agreeing with r outside the ``erased`` symbols whenever 2e + s < d,
+        else FAIL."""
+        self._check_word(r)
+        erased = set(erased)
+        if erased and (min(erased) < 0 or max(erased) >= self.n_symbols):
+            raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
+        return _erasures_core(self, erased, self._decoding_distance(), r)
+
+
+class LinearCode(PolyalphabeticCode):
+    """An [n, k] linear code over a field, given by spanning generator rows:
+    the :class:`PolyalphabeticCode` whose symbols are single coordinates,
+    so its block distance is the Hamming distance.
+
+    Construction drops dependent rows and row-reduces the rest at once,
+    recording an information set (the pivot columns of the reduced form).
+    """
+
+    def __init__(self, field: Field, rows):
+        rows = [tuple(r) for r in rows]
+        super().__init__(field, (1,) * (len(rows[0]) if rows else 0), rows)
+        self.rref, self.pivots = row_reduce(self.field, self.generator)
+
+    def __repr__(self):
+        return f"LinearCode([{self.n}, {self.k}] over {self.field!r})"
+
+    # the base class's own functions, bound here too: perfbench's tracer
+    # rebinds each class's attribute separately and counts each call once
+    codewords = PolyalphabeticCode.codewords
+    erasure_decode = PolyalphabeticCode.erasure_decode
+
+    _syndrome_table = None  # built by the first bmd_decode call
+
+    @cached_property
+    def _checks(self):
+        """v -> v . H^T for the parity rows H: the syndrome, () when n = k."""
+        return _Product(self.field, zip(*self.parity_rows), self.n - self.k)
+
     def syndrome(self, v):
         self._check_word(v)
         return self._checks(v)
 
     def contains(self, v):
         return not any(self.syndrome(v))
-
-    def codewords(self):
-        """All codewords, streamed in lexicographic message order."""
-        return _stream_combinations(self.field, self.generator, self.n)
 
     def min_distance(self, limits=DEFAULT_LIMITS):
         """Exact minimum Hamming distance: the smallest nonzero weight of
@@ -648,19 +778,12 @@ class LinearCode:
     # -- decoding ------------------------------------------------------
 
     def _build_syndrome_table(self, radius):
-        table = {self._checks((0,) * self.n): (0,) * self.n}
-        nonzero = range(1, self.field.order)
-        for w in range(1, radius + 1):
-            for positions in combinations(range(self.n), w):
-                for values in product(nonzero, repeat=w):
-                    e = [0] * self.n
-                    for p, val in zip(positions, values):
-                        e[p] = val
-                    e = tuple(e)
-                    s = self._checks(e)
-                    old = table.get(s)
-                    if old is None or e < old:
-                        table[s] = e
+        table = {}
+        for _, e in _error_patterns(self.field.order, self._offsets, self.n, radius):
+            s = self._checks(e)
+            old = table.get(s)
+            if old is None or e < old:
+                table[s] = e
         return table
 
     def bmd_decode(self, r):
@@ -691,15 +814,6 @@ class LinearCode:
                     break
         return best
 
-    def erasure_decode(self, r, erased):
-        """Errors-and-erasures decoding: unique codeword agreeing with r
-        outside ``erased`` whenever 2e + s < d, else FAIL."""
-        self._check_word(r)
-        erased = set(erased)
-        if any(not 0 <= p < self.n for p in erased):
-            raise ParameterError(f"erased positions {sorted(erased)} out of range")
-        return _erasures_core(self, erased, self._decoding_distance(), r)
-
     # -- structure -----------------------------------------------------
 
     def systematic_generator(self):
@@ -712,6 +826,9 @@ class LinearCode:
         if self.n != other.n or self.field != other.field:
             return False
         return all(other.contains(row) for row in self.generator)
+
+
+# -- decoders' kept sets and error tables -----------------------------------
 
 
 class _KeptSet:
@@ -761,7 +878,7 @@ def _kept_set(code, cols):
     if solver is None:
         return None
     info, inverse = solver
-    product = _Product(code.field, map(code._encoder, inverse), len(code.generator[0]))
+    product = _Product(code.field, map(code._encoder, inverse), code.n)
     in_info = set(info)
     return _KeptSet(info, product, tuple(c for c in cols if c not in in_info))
 
@@ -775,6 +892,25 @@ def _pattern_count(q, widths, radius):
         for w in range(radius, 0, -1):
             coeffs[w] += coeffs[w - 1] * (q**b - 1)
     return sum(coeffs)
+
+
+def _error_patterns(q, spans, n, radius):
+    """Yield (w, e) for every word e of length n over F_q that is zero
+    outside the ``spans`` and nonzero on w <= ``radius`` of them: by w,
+    then by the spans chosen, then by their values, each in
+    lexicographic order."""
+    values = {}  # span width -> its nonzero values
+    for lo, hi in spans:
+        if hi - lo not in values:
+            values[hi - lo] = [v for v in product(range(q), repeat=hi - lo) if any(v)]
+    cells = [(lo, hi, values[hi - lo]) for lo, hi in spans]
+    for w in range(radius + 1):
+        for chosen in combinations(cells, w):
+            for parts in product(*[vals for _, _, vals in chosen]):
+                error = [0] * n
+                for (lo, hi, _), part in zip(chosen, parts):
+                    error[lo:hi] = part
+                yield w, tuple(error)
 
 
 def _build_error_table(code, entry, kept, radius):
@@ -792,25 +928,13 @@ def _build_error_table(code, entry, kept, radius):
     entry.radius = radius
     if _pattern_count(q, [hi - lo for lo, hi in kept], radius) > q**code.k:
         return
-    n = len(code.generator[0])
-    values = {}  # symbol width -> its nonzero values
-    for lo, hi in kept:
-        if hi - lo not in values:
-            values[hi - lo] = [v for v in product(range(q), repeat=hi - lo) if any(v)]
     table = {}
-    for w in range(radius + 1):
-        for chosen in combinations(kept, w):
-            for parts in product(*(values[hi - lo] for lo, hi in chosen)):
-                error = [0] * n
-                for (lo, hi), part in zip(chosen, parts):
-                    error[lo:hi] = part
-                image = entry.encode(error)
-                syndrome = entry.syndrome(field, error, image)
-                if syndrome in table:
-                    raise DefectError(
-                        f"two error patterns of at most {radius} symbols share a syndrome"
-                    )
-                table[syndrome] = (w, image)
+    for w, error in _error_patterns(q, kept, code.n, radius):
+        image = entry.encode(error)
+        syndrome = entry.syndrome(field, error, image)
+        if syndrome in table:
+            raise DefectError(f"two error patterns of at most {radius} symbols share a syndrome")
+        table[syndrome] = (w, image)
     entry.table = table
 
 
@@ -832,7 +956,7 @@ def _nearest_by_scan(code, kept, s, distance, received):
 
 
 def _erasures_core(code, erased, distance, received):
-    """Shared errors-and-erasures logic for linear and polyalphabetic codes.
+    """Errors-and-erasures decoding of ``received`` over ``code``'s symbols.
 
     ``erased`` is a set of symbol indices into ``code._offsets``; s of
     them leave a budget of e = (d - 1 - s) // 2 errors on the kept
@@ -880,144 +1004,6 @@ def _erasures_core(code, erased, distance, received):
     if found is None or found[0] > e:
         return FAIL
     return vec_sub(field, word, found[1]) if found[0] else word
-
-
-# -- polyalphabetic codes ---------------------------------------------------
-
-
-def _symbol_sizes(sizes):
-    sizes = tuple(int(s) for s in sizes)
-    if any(s < 0 for s in sizes):
-        raise ParameterError("symbol sizes must be non-negative")
-    if sum(sizes) < 1:
-        raise ParameterError("total length must be positive")
-    return sizes
-
-
-class PolyalphabeticCode:
-    """An F_q-linear code whose coordinates group into symbols of given sizes.
-
-    Distance counts symbols whose coordinate slice is nonzero; zero-width
-    symbols are legal and never count as nonzero.
-    """
-
-    def __init__(self, field: Field, sizes, rows):
-        sizes = _symbol_sizes(sizes)
-        total = sum(sizes)
-        rows = [tuple(r) for r in rows]
-        if not rows or any(len(r) != total for r in rows):
-            raise ParameterError(f"generator rows must all have length {total}")
-        for r in rows:
-            field.validate_all(r)
-        keep = independent_rows(field, rows)
-        if not keep:
-            raise ParameterError("generator matrix has rank 0")
-        self._set_basis(field, sizes, keep)
-
-    @classmethod
-    def _from_basis(cls, field, sizes, rows):
-        """The code spanned by ``rows``, which the caller derived from an
-        independent basis over ``field`` as rows of length sum(sizes):
-        only the sizes are checked, and the rows are not reduced."""
-        code = cls.__new__(cls)
-        code._set_basis(field, _symbol_sizes(sizes), rows)
-        return code
-
-    def _set_basis(self, field, sizes, basis):
-        self.field = field
-        self.sizes = sizes
-        self.total_length = sum(sizes)
-        self.generator = tuple(basis)
-        self.k = len(self.generator)
-        self._distance = None
-        self._source = None  # the code this one's symbols were permuted from
-        self._enumerators = {}
-        self._solvers = {}  # kept coordinates -> _KeptSet, for erasure_decode
-        self._kept = {}  # frozenset of erased symbols -> (kept spans, kept coordinates)
-        offsets, start = [], 0
-        for s in sizes:
-            offsets.append((start, start + s))
-            start += s
-        self._offsets = tuple(offsets)
-
-    def __repr__(self):
-        return f"PolyalphabeticCode(sizes={self.sizes}, k={self.k})"
-
-    @property
-    def n_symbols(self):
-        return len(self.sizes)
-
-    @cached_property
-    def parity_rows(self):
-        """A basis of the dual code over the coordinates, read off a
-        reduced generator: the generator itself when it is [I | A], as every
-        code :func:`~whmetric.construct.poly_from_mother` builds is, so the
-        basis is [-A^T | I] with no elimination; otherwise its reduced
-        row echelon form."""
-        rows, pivots = self.generator, range(self.k)
-        if any(row[: self.k] != unit for row, unit in zip(rows, identity_rows(self.k))):
-            rows, pivots = row_reduce(self.field, rows)
-        return tuple(_rref_kernel(self.field, rows, pivots, self.total_length))
-
-    @cached_property
-    def _encoder(self):
-        return _Product(self.field, self.generator, self.total_length)
-
-    def symbols(self, v):
-        return tuple([tuple(v[lo:hi]) for lo, hi in self._offsets])
-
-    def symbol(self, v, i):
-        lo, hi = self._offsets[i]
-        return tuple(v[lo:hi])
-
-    def encode(self, message):
-        if len(message) != self.k:
-            raise ParameterError(f"message length {len(message)} != dimension {self.k}")
-        self.field.validate_all(message)
-        return self._encoder(message)
-
-    def codewords(self):
-        return _stream_combinations(self.field, self.generator, self.total_length)
-
-    def min_block_distance(self, limits=DEFAULT_LIMITS):
-        """Exact minimum number of nonzero symbols over nonzero codewords:
-        the fewest nonzero entries of a nonzero profile of the split
-        weight enumerator over the symbols.
-
-        The whole space contains a unit vector, so its distance is 1
-        without a scan.  Any other code is admitted under ``limits`` on
-        every call; the distance is reduced once.  A code whose symbols
-        were permuted from another (:func:`whmetric.construct.permute_symbols`)
-        has that code's q^k words and its distance, since a symbol
-        permutation maps each codeword's nonzero symbols one-to-one: it is
-        admitted itself, then reads the distance scanned on the other code,
-        which is scanned at most once for all its permuted images."""
-        if self.k == self.total_length:
-            return 1
-        _admit(self, limits)
-        if self._distance is None:
-            scanned = self._source or self
-            if scanned._distance is None:
-                profiles = split_weight_enumerator(scanned, scanned.sizes, limits)
-                scanned._distance = min(len(p) - p.count(0) for p in profiles if any(p))
-            self._distance = scanned._distance
-        return self._distance
-
-    def _decoding_distance(self):
-        """The block distance the decoders work to: the one already
-        reduced, whatever limits admitted it, or else one admitted under
-        the default limits."""
-        return self.min_block_distance() if self._distance is None else self._distance
-
-    def erasure_decode(self, r, erased):
-        """Errors-and-erasures decoding over symbols; 2e + s < d contract."""
-        if len(r) != self.total_length:
-            raise ParameterError(f"vector length {len(r)} != code length {self.total_length}")
-        self.field.validate_all(r)
-        erased = set(erased)
-        if erased and (min(erased) < 0 or max(erased) >= self.n_symbols):
-            raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
-        return _erasures_core(self, erased, self._decoding_distance(), r)
 
 
 # -- nested chains ----------------------------------------------------------

@@ -285,9 +285,6 @@ class Field:
             return self._inv_table[a]
         return self.pow(a, self.order - 2)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         self.validate(a)
         if e < 0:

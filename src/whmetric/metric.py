@@ -156,21 +156,9 @@ class WeightedSpace:
         """Profiles attained by vectors of weighted weight <= t, in lex order."""
         if t < 0:
             raise ParameterError("radius must be non-negative")
-        out = []
-        prof = [0] * self.m
-
-        def rec(l, budget):
-            if l == self.m:
-                out.append(tuple(prof))
-                return
-            top = min(self.blocks[l], budget // self.scales[l])
-            for w in range(top + 1):
-                prof[l] = w
-                rec(l + 1, budget - w * self.scales[l])
-            prof[l] = 0
-
-        rec(0, t)
-        return out
+        scales = self.scales
+        profiles = product(*(range(b + 1) for b in self.blocks))
+        return [prof for prof in profiles if sum(map(mul, scales, prof)) <= t]
 
     def diff_ball_profiles(self, t: int) -> list:
         """Profiles of differences of two radius-t vectors, in lex order.

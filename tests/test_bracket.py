@@ -197,7 +197,7 @@ def test_capability_runs_the_program_on_the_sorted_walks_profiles(monkeypatch, i
 def test_systematic_polyalphabetic_dual_is_read_off(monkeypatch, build):
     poly = build()
     assert all(row[: poly.k] == unit for row, unit in zip(poly.generator, identity_rows(poly.k)))
-    expected = kernel_basis(poly.field, poly.generator, poly.total_length)
+    expected = kernel_basis(poly.field, poly.generator, poly.n)
     ops = {"mul": 0, "sub": 0}
     for name in ops:
         original = getattr(Field, name)
@@ -214,5 +214,5 @@ def test_systematic_polyalphabetic_dual_is_read_off(monkeypatch, build):
 def test_permuted_polyalphabetic_dual_is_reduced_first():
     poly = permute_symbols(mixed_code_from_parity_mother(2), [2, 0, 1])
     assert tuple(row[: poly.k] for row in poly.generator) != identity_rows(poly.k)
-    assert list(poly.parity_rows) == kernel_basis(poly.field, poly.generator, poly.total_length)
+    assert list(poly.parity_rows) == kernel_basis(poly.field, poly.generator, poly.n)
 

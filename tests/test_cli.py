@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from whmetric import cli
 from whmetric.cli import main
+from whmetric.code import Limits
 from whmetric.construct import pareto_frontier, search_constructions
+from whmetric.errors import ParameterError
 from whmetric.metric import WeightedSpace
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -151,6 +153,18 @@ def test_exhaustion_exit_3(tmp_path, capsys):
     # the inner full:3 has 8 codewords; its distance scan obeys [limits] too
     code, _ = run(capsys, ["construct", "--config", cfg])
     assert code == 3
+
+
+def test_a_negative_cap_is_a_config_error_and_a_zero_cap_refuses_every_scan(tmp_path, capsys):
+    negative = write(tmp_path, "negative.cfg", TWO_BLOCK + "\n[limits]\nmax_codewords = -1\n")
+    assert main(["construct", "--config", negative]) == 2
+    assert "max_codewords must be a non-negative integer, got -1" in capsys.readouterr().err
+    zero = write(tmp_path, "zero.cfg", TWO_BLOCK + "\n[limits]\nmax_codewords = 0\n")
+    assert main(["construct", "--config", zero]) == 3
+    assert "exceeds the limit 0" in capsys.readouterr().err
+    for bad in (-1, 1.5, "8"):
+        with pytest.raises(ParameterError, match="^max_ambient must be a non-negative integer"):
+            Limits(max_ambient=bad)
 
 
 def test_construct_two_block(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     F2,
@@ -24,10 +26,13 @@ from whmetric.code import (
     hamming_distance,
     named_code,
     parse_matrix_text,
+    vec_add,
 )
 from whmetric.construct import outer_code
 from whmetric.errors import ExhaustionError, ParameterError
 from whmetric.field import make_extension_field
+
+GF4 = make_extension_field(2, 2)
 
 
 def brute_force_distance(code):
@@ -47,6 +52,10 @@ def test_make_code_basics():
         LinearCode(F2, [])
     with pytest.raises(ParameterError):
         LinearCode(F2, [(0, 0, 0)])
+    with pytest.raises(ParameterError, match="^first argument must be a Field$"):
+        LinearCode(2, [(1, 1)])
+    with pytest.raises(ParameterError, match="^first argument must be a Field$"):
+        PolyalphabeticCode(2, (1, 1), [(1, 1)])
 
 
 @pytest.mark.parametrize("field", [F2, make_extension_field(2, 9)])  # tables, and none
@@ -339,6 +348,42 @@ def test_polyalphabetic_erasure_decode():
     assert outer.erasure_decode((0, 1, 1), {0}) == (1, 1, 1)
     assert outer.erasure_decode((1, 0, 0), {1}) == (1, 1, 1)
     assert outer.erasure_decode((0, 0, 1), set()) is FAIL
+
+
+@st.composite
+def _unit_symbol_cases(draw):
+    """A field, up to 5 generator rows of length n <= 8, and up to 3
+    messages, each with an error on at most 2 coordinates."""
+    field = draw(st.sampled_from((F2, F3, GF4)))
+    n = draw(st.integers(1, 8))
+    symbol = st.integers(0, field.order - 1)
+    vector = st.lists(symbol, min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(vector, min_size=1, max_size=min(n, 5)).filter(lambda r: any(map(any, r))))
+    messages = draw(st.lists(st.lists(symbol, min_size=len(rows), max_size=len(rows)), max_size=3))
+    error = st.dictionaries(st.integers(0, n - 1), st.integers(1, field.order - 1), max_size=2)
+    errors = draw(st.lists(error, min_size=len(messages), max_size=len(messages)))
+    return field, rows, messages, [tuple(e.get(i, 0) for i in range(n)) for e in errors]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_unit_symbol_cases())
+def test_a_linear_code_is_the_unit_symbol_polyalphabetic_code(case):
+    field, rows, messages, errors = case
+    code = LinearCode(field, rows)
+    poly = PolyalphabeticCode(field, (1,) * code.n, rows)
+    assert isinstance(code, PolyalphabeticCode)
+    assert (code.n, code.k, code.generator) == (poly.n, poly.k, poly.generator)
+    assert code.parity_rows == poly.parity_rows
+    assert list(code.codewords()) == list(poly.codewords())
+    assert code.min_distance() == poly.min_block_distance() == code.min_block_distance()
+    # dependent rows leave k below the number of rows; a message is cut to k
+    for message, error in zip(messages, errors):
+        codeword = code.encode(message[: code.k])
+        assert codeword == poly.encode(message[: code.k])
+        word = vec_add(field, codeword, error)
+        for s in range(code.n + 1):
+            for erased in combinations(range(code.n), s):
+                assert code.erasure_decode(word, erased) == poly.erasure_decode(word, erased)
 
 
 def test_matrix_text_round_trip(tmp_path):
