@@ -111,9 +111,9 @@ def _assemble_lp(space: WeightedSpace, t: int):
     sum x >= -1 and always holds, so it is dropped.  The code size is
     1 + sum x; the LP maximizes sum x.
 
-    Returns (lp, kmat, free): the LP (None when no entry is free), the
-    full Krawtchouk matrix kmat[j][i] in profile order, and the profile
-    index of each LP variable.
+    Returns (lp, kmat, free, profiles): the LP (None when no entry is
+    free), the full Krawtchouk matrix kmat[j][i] in profile order, the
+    profile index of each LP variable, and the profiles in that order.
     """
     profiles = list(product(*(range(b + 1) for b in space.blocks)))
     free = _free_entries(space, profiles, t)
@@ -130,9 +130,9 @@ def _assemble_lp(space: WeightedSpace, t: int):
         kmat.append(row)
 
     if not free:
-        return None, kmat, free
+        return None, kmat, free, profiles
     rows = [([-krow[i] for i in free], krow[0]) for krow in kmat[1:]]
-    return LinearProgram(objective=[1] * len(free), rows=rows), kmat, free
+    return LinearProgram(objective=[1] * len(free), rows=rows), kmat, free, profiles
 
 
 def _check_enumerator(kmat, enumerator):
@@ -141,8 +141,9 @@ def _check_enumerator(kmat, enumerator):
     ints = [a.numerator * (den // a.denominator) for a in enumerator]
     if any(a < 0 for a in ints):
         raise DefectError("LP witness has a negative enumerator entry")
+    support = [(i, a) for i, a in enumerate(ints) if a]
     for krow in kmat:
-        if sum(k * a for k, a in zip(krow, ints) if a) < 0:
+        if sum(krow[i] * a for i, a in support) < 0:
             raise DefectError("LP witness violates a Delsarte constraint")
 
 
@@ -159,8 +160,7 @@ def _lp_sweep(space: WeightedSpace, radii):
     the all-ones dual certifies it, since sum_j K(j, i) = q^N [i = 0].
     Each witness is re-checked against the unreduced rows.
     """
-    lp, kmat, free = _assemble_lp(space, radii[-1])
-    profiles = list(product(*(range(b + 1) for b in space.blocks)))
+    lp, kmat, free, profiles = _assemble_lp(space, radii[-1])
     column = {i: c for c, i in enumerate(free)}
     stages = [[column[i] for i in _free_entries(space, profiles, t)] for t in radii]
     whole = len(profiles) - 1

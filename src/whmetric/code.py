@@ -718,6 +718,8 @@ class PolyalphabeticCode:
         else FAIL."""
         self._check_word(r)
         erased = set(erased)
+        if not all(isinstance(p, int) for p in erased):
+            raise ParameterError(f"erased symbol positions must be integers, got {erased}")
         if erased and (min(erased) < 0 or max(erased) >= self.n_symbols):
             raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
         return _erasures_core(self, erased, self._decoding_distance(), r)

@@ -7,45 +7,33 @@ program is either optimal or unbounded.
 
 A primal simplex on a dense condensed tableau (one row per basic and
 one column per nonbasic variable), in exact rationals kept in lowest
-terms: each row is an integer vector over its own positive denominator,
-and a pivot divides every row it changes by the gcd of its denominator
-and entries.  A row whose pivot-column entry is zero is left untouched.
-The rationals of the bound LPs have small denominators, while the basis
-minors a single common denominator would carry (Edmonds' integer
-pivoting, the simplex form of Bareiss elimination) share a large power
-of q; lowest terms keep the integers at the size of the answer.  Each
-input row is divided once, at set-up, by the gcd of its coefficients
-and right-hand side.
+terms: each row is an integer vector over its own positive denominator.
+That keeps the integers at the size of the answer, where one common
+denominator (Edmonds' integer pivoting) carries basis minors that share
+a large power of q on the bound LPs.
 
 The entering column is chosen by steepest edge (Forrest and Goldfarb,
-Math. Programming 1992): among the columns with a negative reduced cost
-c_j, the largest c_j^2 / (1 + |B^-1 a_j|^2), its norm recomputed from
-the tableau at every pivot.  That ranking is the one place floats
-appear; they only choose among columns that all improve the objective,
-so every value returned or certified stays exact, and they are formed
-with correctly rounded division, ``+`` and ``*`` in a fixed order, so
-the pivot path is the same on every IEEE-754 platform.  Whenever the
-objective stalls on degenerate pivots the entering rule switches to
-Bland's, so termination stays guaranteed.  The leaving row is the exact
-minimum ratio, compared within each row, where its denominator cancels.
+Math. Programming 1992), ranked in floats that only choose among
+improving columns, so every value stays exact; formed in a fixed order
+of correctly rounded operations, they take the same pivots on every
+IEEE-754 platform.  The leaving row is the exact minimum ratio, ties
+broken lexicographically relative to the basis B_ref where the
+objective last rose: the ratio test of b + B_ref (e, e^2, ...), which is
+nondegenerate at B_ref.  A unique minimum is that test's choice too, so
+every pivot since B_ref raised the perturbed objective and no basis
+repeats before the objective rises; any improving column may enter.
 
-One program can also be solved as a sweep (:func:`solve_sweep`): a
-sequence of stages, each keeping more of its columns and fixing the
-rest at zero.  Unlocking a column never makes the current basis
-infeasible, so each stage appends its new columns to the tableau and
-the same simplex continues from the last optimum, with no phase 1.
-:func:`solve_max` is the sweep of one stage that unlocks every column.
+:func:`solve_sweep` solves stages of one program, each keeping more of
+its columns and fixing the rest at zero.  Unlocking a column keeps the
+basis feasible, so each stage appends its new columns and the same
+simplex continues; :func:`solve_max` is the sweep of one stage.
 
-A returned optimum is certified, not trusted, against the program of
-its own stage.  The primal witness is re-substituted into every
-constraint, which proves the optimum is at least the returned value.
-The dual multipliers, read from the final objective row, are checked
-to satisfy the dual constraints with the same objective value, which
-proves it is at most that value.  Both checks run in integers over one
-common denominator, the lcm of the row denominators.
-
-Instances here are small (a few hundred variables), which is why the
-dense tableau is acceptable.
+A returned optimum is certified, not trusted, against its own stage's
+program: the primal witness is re-substituted into every constraint,
+and the dual multipliers read from the final objective row must meet
+the dual constraints with the same objective value, both in integers
+over the lcm of the row denominators.  Instances here are small (a few
+hundred variables), so the dense tableau serves.
 """
 
 from __future__ import annotations
@@ -109,14 +97,12 @@ def _lowest_terms(row, den):
 
 def _pivot(tableau, dens, pr, pc):
     """Exchange the basic variable of row ``pr`` with the nonbasic one of
-    column ``pc``, in every row (objective row included).
+    column ``pc``, in every row (objective row included), in place.
 
-    Row i is the rational vector ``tableau[i] / dens[i]``, in lowest
-    terms; the pivot entry is positive (the ratio test keeps it so).  A
-    row with a zero in the pivot column is unchanged; every other row,
-    the pivot row included, gets a new denominator and is reduced to
-    lowest terms again.  Rows are mutated in place so outstanding
-    references stay valid.
+    Row i is ``tableau[i] / dens[i]`` in lowest terms; the pivot entry p
+    is positive.  A row with a zero g in the pivot column is unchanged;
+    every other row is updated with p and g divided by gcd(p, g) first,
+    then reduced to lowest terms again.
     """
     prow = tableau[pr]
     p, dr = prow[pc], dens[pr]
@@ -124,14 +110,13 @@ def _pivot(tableau, dens, pr, pc):
         g = row[pc]
         if i == pr or not g:
             continue
-        row[:] = [p * a - g * b for a, b in zip(row, prow)]
-        row[pc] = -g * dr
-        dens[i] = _lowest_terms(row, dens[i] * p)
+        h = gcd(p, g)
+        u, w = p // h, g // h
+        row[:] = [u * a - w * b for a, b in zip(row, prow)]
+        row[pc] = -w * dr
+        dens[i] = _lowest_terms(row, dens[i] * u)
     prow[pc] = dr
     dens[pr] = _lowest_terms(prow, p)
-
-
-_STALL_LIMIT = 32
 
 
 def _steepest_edge(body, dens, obj, candidates):
@@ -169,62 +154,80 @@ def _simplex(tableau, dens, basic, nonbasic):
     ``tableau`` has one row per basic variable (``basic[i]``) and one
     column per nonbasic variable (``nonbasic[j]``), then the rhs, row i
     over the positive denominator ``dens[i]``; the last row is the
-    objective row (reduced costs, then the objective value), and every
-    row and denominator is updated in place.  The entering column is
-    chosen by steepest edge (Forrest and Goldfarb 1992), its norms
-    recomputed in floats from the tableau at every pivot; the pivot
-    falls back to Bland's rule (the lowest improving variable) while the
-    objective is stalled on degenerate pivots, which keeps the
-    termination guarantee, and wherever a division would overflow a
-    float.
-    The leaving row is the exact minimum ratio, ties to the lowest basic
-    variable; ratios are compared by cross-multiplying within each row,
-    where the row's denominator cancels.  Returns "optimal" or
+    objective row (reduced costs, then the objective value), all updated
+    in place.  Steepest edge picks the entering column, or the lowest
+    improving variable where a float would overflow.  The leaving row is
+    the exact minimum ratio, cross-multiplied within each row so its
+    denominator cancels, ties to :func:`_lex_least` relative to ``ref``,
+    the basis where the objective last rose.  Returns "optimal" or
     "unbounded".
     """
-    body = tableau[:-1]
-    obj = tableau[-1]
-    stalled = 0
+    *body, obj = tableau
+    ref = basic[:]
     while True:
         candidates = [(v, j) for j, v in enumerate(nonbasic) if obj[j] < 0]
         if not candidates:
             return "optimal"
-        enter = None
-        if stalled < _STALL_LIMIT:
-            enter = _steepest_edge(body, dens, obj, candidates)
+        enter = _steepest_edge(body, dens, obj, candidates)
         if enter is None:
             enter = min(candidates)[1]
-        leave = None
+        ties, num, div = [], 0, 0
         for i, row in enumerate(body):
             a = row[enter]
             if a > 0:
-                if leave is None:
-                    leave, num, div = i, row[-1], a
-                    continue
                 lhs, rhs = row[-1] * div, num * a
-                if lhs < rhs or (lhs == rhs and basic[i] < basic[leave]):
-                    leave, num, div = i, row[-1], a
-        if leave is None:
+                if not ties or lhs < rhs:
+                    ties, num, div = [i], row[-1], a
+                elif lhs == rhs:
+                    ties.append(i)
+        if not ties:
             return "unbounded"
+        leave = _lex_least(body, dens, basic, nonbasic, ref, ties, enter)
         _pivot(tableau, dens, leave, enter)
         basic[leave], nonbasic[enter] = nonbasic[enter], basic[leave]
-        if num == 0:
-            stalled += 1
+        if num:
+            ref = basic[:]
+
+
+def _lex_least(body, dens, basic, nonbasic, ref, ties, enter):
+    """The row among ``ties`` whose row of B^-1 B_ref over its entry in
+    column ``enter`` is lexicographically least, B_ref the basis ``ref``.
+
+    Row i's entry for variable r is its entry in r's column while r is
+    nonbasic, ``dens[i]`` where r is basic in row i, and 0 in any other
+    row.  Rows of B^-1 B_ref are independent, so no two tie throughout.
+    """
+    if len(ties) == 1:
+        return ties[0]
+    column = {v: j for j, v in enumerate(nonbasic)}
+    best = ties[0]
+    for i in ties[1:]:
+        a, b = body[i][enter], body[best][enter]
+        for r in ref:
+            j = column.get(r)
+            if j is None:
+                x = dens[i] if basic[i] == r else 0
+                y = dens[best] if basic[best] == r else 0
+            else:
+                x, y = body[i][j], body[best][j]
+            if x * b != y * a:
+                if x * b < y * a:
+                    best = i
+                break
         else:
-            stalled = 0
+            raise DefectError("two rows of B^-1 B_ref are parallel")
+    return best
 
 
 def _unlock(tableau, dens, basic, nonbasic, scaled, objective, columns):
     """Append the structural ``columns`` to the tableau as nonbasic columns.
 
-    A column a of the scaled rows enters as B^-1 a.  The tableau already
-    holds B^-1 e_i for every row i: it is slack i's column while that
-    slack is nonbasic, and the unit vector of the row where it is basic.
-    So row r's new numerator is that combination of its own entries,
-    plus ``dens[r]`` times a's entry for the row's basic slack, over the
-    row's own denominator.  The objective entry is the reduced cost, the
-    same combination of the objective row less its denominator times the
-    cost.  A row in lowest terms stays so with one more entry.
+    A column a of the scaled rows enters as B^-1 a.  The tableau holds
+    B^-1 e_i as slack i's column while it is nonbasic, and as the unit
+    vector of its row while basic.  So row r's new numerator is that
+    combination of its entries, plus ``dens[r]`` times a's entry for the
+    row's basic slack; the objective entry also subtracts its
+    denominator times the cost.  Rows stay in lowest terms.
     """
     nvars = len(objective)
     slacks = [(j, v - nvars) for j, v in enumerate(nonbasic) if v >= nvars]
@@ -245,13 +248,11 @@ def solve_sweep(lp: LinearProgram, stages):
 
     A stage is a list of column indices of ``lp``: its program keeps
     those columns and fixes the others at zero.  Each stage holds every
-    column of the one before, so the last optimal basis stays feasible,
-    the newly unlocked columns are appended to its tableau and the same
-    simplex continues from there.  Each input row is divided by the gcd
-    of its coefficients over every column and its rhs, so unlocked
-    columns stay integral.  A stage's result is certified against that
-    stage's own program; its solution lists one value per stage column,
-    in stage order.
+    column of the one before, so the last optimal basis stays feasible
+    and the same simplex continues on the newly unlocked columns.  Each
+    input row is divided once by the gcd of its coefficients and rhs.
+    A stage's result is certified against its own program; its solution
+    lists one value per stage column, in stage order.
     """
     nvars, nrows = len(lp.objective), len(lp.rows)
     # Each tableau row is its input row divided by g > 0, so the input
@@ -317,11 +318,10 @@ def _verify(lp, x, y, den, columns=None):
 
     ``x`` and ``y`` are integer numerators over the positive ``den``.
     ``columns`` (default: all) restricts ``lp`` to those columns, the
-    others fixed at zero, with one ``x`` entry per column in that order;
-    the restriction is read from ``lp``'s rows in place, not rebuilt.
-    The witness must be feasible, and the multipliers feasible for the
-    dual program with the same objective: weak duality then bounds
-    every feasible point by the witness's value.
+    others fixed at zero, with one ``x`` entry per column in that order,
+    read from ``lp``'s rows in place.  The witness must be feasible, and
+    the multipliers feasible for the dual with the same objective: weak
+    duality then bounds every feasible point by the witness's value.
     """
     if columns is None:
         columns = range(len(lp.objective))

@@ -246,6 +246,16 @@ def test_erasure_decode_examples():
         assert rep.erasure_decode(r, set()) == rep.bmd_decode(r)
 
 
+@pytest.mark.parametrize("erased", ({7}, {-1}, {0.5}, {1, 2.0}, {"3"}), ids=repr)
+def test_erasure_decode_refuses_positions_out_of_range_or_not_integers(erased):
+    hamming = named_code("hamming", F2, 7, 4)
+    outer = PolyalphabeticCode(F2, (1, 2, 4), [(1, 1, 1, 1, 1, 1, 1)])  # three symbols
+    for code in (hamming, outer):
+        with pytest.raises(ParameterError, match="erased symbol positions"):
+            code.erasure_decode((1, 0, 0, 0, 0, 0, 0), erased)
+    assert hamming.erasure_decode((1, 0, 0, 0, 0, 0, 0), {0}) == (0,) * 7
+
+
 def test_erasure_decode_contract_exhaustive():
     from itertools import combinations
 

@@ -31,12 +31,13 @@ def pivots(monkeypatch):
     return calls
 
 
-@pytest.fixture(params=(ratlp._STALL_LIMIT, 0), ids=("default", "bland"))
-def stall_limit(request, monkeypatch):
-    """Solve under the default stall limit, and under 0, where every pivot
-    follows Bland's rule (steepest edge seldom stalls that long on small
-    programs, so the fallback needs a run of its own)."""
-    monkeypatch.setattr(ratlp, "_STALL_LIMIT", request.param)
+@pytest.fixture(params=("steepest-edge", "overflow"))
+def entering(request, monkeypatch):
+    """Solve with steepest edge, and with its overflow path, where every
+    entering column is the lowest improving variable (only entries beyond
+    a float reach that path, so small programs need a run of their own)."""
+    if request.param == "overflow":
+        monkeypatch.setattr(ratlp, "_steepest_edge", lambda *args: None)
 
 
 def test_single_variable_box():
@@ -152,7 +153,7 @@ def _vertex_optimum(objective, le_rows):
     return best
 
 
-def test_random_small_programs_match_vertex_enumeration(pivots, stall_limit):
+def test_random_small_programs_match_vertex_enumeration(pivots, entering):
     rng = random.Random(424242)
     for case in range(200):
         nvars = rng.choice((2, 3))
@@ -170,6 +171,31 @@ def test_random_small_programs_match_vertex_enumeration(pivots, stall_limit):
         res = solve_max(LinearProgram(objective=objective, rows=le_rows))
         assert res.status == "optimal", f"case {case}"
         assert res.value == _vertex_optimum(objective, le_rows), f"case {case}"
+    assert pivots
+
+
+def test_random_degenerate_programs_match_vertex_enumeration(pivots, entering):
+    # most right-hand sides 0: the origin is a vertex of many tight rows,
+    # so ratio ties and zero steps are the rule, not the exception
+    rng = random.Random(90210)
+    for case in range(100):
+        nvars = rng.choice((2, 3))
+        le_rows = [
+            (
+                [rng.randint(-5, 5) for _ in range(nvars)],
+                0 if rng.random() < 0.8 else rng.randint(1, 9),
+            )
+            for _ in range(rng.randint(3, 7))
+        ]
+        le_rows += [([rng.randint(0, 2) for _ in range(nvars)], 0) for _ in range(2)]
+        for i in range(nvars):  # box rows keep the region bounded
+            le_rows.append(([int(i == k) for k in range(nvars)], 6))
+        objective = [rng.randint(-5, 9) for _ in range(nvars)]
+        lp = LinearProgram(objective=objective, rows=le_rows)
+        res = solve_max(lp)
+        assert res.status == "optimal", f"case {case}"
+        assert res.value == _vertex_optimum(objective, le_rows), f"case {case}"
+        ratlp._verify(lp, *_certificate(res.solution, res.dual))
     assert pivots
 
 
@@ -208,16 +234,38 @@ def test_tampered_dual_is_rejected(dual, reason):
 # -- pricing: floats only rank the entering columns ---------------------------
 
 
-def test_beale_cycling_example(stall_limit):
-    # Beale (1955) in integer form, the textbook example on which
-    # Dantzig's rule can cycle
-    lp = LinearProgram(
-        objective=[3, -80, 2, -24],
-        rows=[([1, -32, -4, 36], 0), ([1, -24, -1, 6], 0), ([0, 0, 1, 0], 1)],
-    )
-    res = solve_max(lp)
+_BEALE = LinearProgram(
+    # Beale (1955) with its objective scaled by 4 and rows by 4, 2 and 1
+    # to integers, the textbook example on which Dantzig's rule cycles
+    objective=[3, -80, 2, -24],
+    rows=[([1, -32, -4, 36], 0), ([1, -24, -1, 6], 0), ([0, 0, 1, 0], 1)],
+)
+
+
+def test_beale_cycling_example(entering):
+    res = solve_max(_BEALE)
     assert res.value == 5
-    ratlp._verify(lp, *_certificate(res.solution, res.dual))
+    ratlp._verify(_BEALE, *_certificate(res.solution, res.dual))
+
+
+def test_beale_cycling_example_under_dantzigs_rule(monkeypatch):
+    # Dantzig's rule on Beale's own fractional data: slack i's reduced
+    # cost here is 1 / scale_i of the textbook one, its row scaled by 4,
+    # 2 and 1.  With ratio ties to the lowest basic variable this cycles;
+    # the lexicographic ratio test alone must end the stall
+    scale = {4: 4, 5: 2, 6: 1}
+    chosen = []
+
+    def dantzig(body, dens, obj, candidates):
+        chosen.append(candidates)
+        assert len(chosen) < 50, "the simplex cycles"
+        return min(candidates, key=lambda vj: (obj[vj[1]] * scale.get(vj[0], 1), vj[0]))[1]
+
+    monkeypatch.setattr(ratlp, "_steepest_edge", dantzig)
+    res = solve_max(_BEALE)
+    assert res.value == 5
+    assert res.solution == [1, 0, 1, 0]
+    ratlp._verify(_BEALE, *_certificate(res.solution, res.dual))
 
 
 _HUGE = 2**1100  # beyond any float: pricing cannot divide it into one
@@ -249,7 +297,7 @@ def _restricted(lp, stage):
     )
 
 
-def test_sweep_stages_match_cold_solves(pivots, stall_limit):
+def test_sweep_stages_match_cold_solves(pivots, entering):
     rng = random.Random(717171)
     for case in range(150):
         nvars = rng.randint(2, 7)
@@ -327,13 +375,15 @@ def test_bound_sweep_keeps_rows_in_lowest_terms(pivots):
 @pytest.mark.parametrize(
     "solve, count",
     (
-        (lambda: build_bound_table(WeightedSpace(2, (7, 7), (1, 2)), 0, 10), 320),
-        (lambda: build_bound_table(WeightedSpace(7, (7, 7), (1, 2)), 0, 10), 92),
-        (lambda: build_bound_table(WeightedSpace(2, (7, 7, 7), (1, 2, 3)), 13, 16), 30),
-        (lambda: lp_bound_detail(WeightedSpace(2, (7, 7), (1, 2)), 3), 63),
-        (lambda: lp_bound_detail(WeightedSpace(7, (7, 7), (1, 2)), 1), 96),
+        (lambda: build_bound_table(WeightedSpace(2, (7, 7), (1, 2)), 0, 10), 282),
+        (lambda: build_bound_table(WeightedSpace(7, (7, 7), (1, 2)), 0, 10), 90),
+        (lambda: build_bound_table(WeightedSpace(2, (7, 7, 7), (1, 2, 3)), 13, 16), 34),
+        (lambda: lp_bound_detail(WeightedSpace(2, (7, 7), (1, 2)), 3), 58),
+        (lambda: lp_bound_detail(WeightedSpace(7, (7, 7), (1, 2)), 1), 106),
+        # long runs of degenerate pivots on a three-block space
+        (lambda: lp_bound_detail(WeightedSpace(3, (4, 4, 4), (1, 2, 3)), 1), 214),
     ),
-    ids=("q2", "q7", "three-blocks-q2", "cold-q2-t3", "cold-q7-t1"),
+    ids=("q2", "q7", "three-blocks-q2", "cold-q2-t3", "cold-q7-t1", "stall-q3-t1"),
 )
 def test_bound_table_pivot_path(pivots, solve, count):
     # Steepest edge ranks columns by float norms; the exact counts pin
