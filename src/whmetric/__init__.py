@@ -24,12 +24,12 @@ from .code import (
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
-    krawtchouk,
     load_matrix_file,
     named_code,
 )
 from .construct import GccCode, build_gcc, poly_from_mother
 from .decode import DecodeReport, gcc_decode, gmd_decode
+from .enumerator import krawtchouk
 from .errors import DefectError, ExhaustionError, ParameterError
 from .field import Field, make_extension_field, make_prime_field
 from .metric import WeightedSpace, profile_leq

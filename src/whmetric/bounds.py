@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .code import krawtchouk, krawtchouk_tables  # noqa: F401 (bounds.krawtchouk stays public)
+from .enumerator import krawtchouk_tables
 from .errors import DefectError, ParameterError
 from .metric import WeightedSpace
 from .ratlp import LinearProgram, _verify, solve_sweep

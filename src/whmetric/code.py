@@ -8,14 +8,13 @@ tests on reduced generators.
 
 Vectors are tuples of serialized field elements (see :mod:`.field`), so
 they hash and compare structurally.  Distances are exact reductions of a
-code's split weight enumerator (:func:`split_weight_enumerator`), which
-scans the code or its dual under one :class:`Limits`; a code past a limit
-raises :class:`~whmetric.errors.ExhaustionError` rather than
-approximating.
+code's split weight enumerator (:func:`split_weight_enumerator`), kept
+on the code and admitted under one :class:`Limits`; :mod:`.enumerator`
+counts it and :mod:`.linalg` does the elimination.
 
 The decoders solve only linear systems whose matrix is fixed by the
 code: a chain level's basis, or a generator restricted to the
-coordinates an erasure trial keeps.  :func:`_left_inverse` row-reduces
+coordinates an erasure trial keeps.  :func:`.linalg._left_inverse` row-reduces
 each such matrix once into an information set and the inverse of the
 matrix on it.  A chain builds one solver per level when it is
 constructed, and a per-word solve is two vector-matrix products with a
@@ -45,17 +44,26 @@ refuses a word with a symbol outside the field first
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import accumulate, chain, combinations, compress, groupby, islice, product
-from math import comb, prod
-from operator import mul, ne, xor
+from itertools import combinations, product
+from operator import mul, ne
 from struct import calcsize
 from sys import byteorder
 
-from .errors import DefectError, ExhaustionError, ParameterError
+from .enumerator import _admit, _split_counts
+from .errors import DefectError, ParameterError
 from .field import Field, make_extension_field, make_prime_field
+from .linalg import (
+    _echelon,
+    _leading_index,
+    _left_inverse,
+    _rref_kernel,
+    identity_rows,
+    independent_rows,
+    kernel_basis,
+    row_reduce,
+)
 
 SYNDROME_TABLE_LIMIT = 1 << 20
 
@@ -184,111 +192,6 @@ class _Product:
         return tuple([x % q for x in memoryview(lanes).cast(self._format)])
 
 
-def row_reduce(field, rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = field.inv(work[r][col])
-        if inv != 1:
-            work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(w) for w in work[:r]], pivots
-
-
-def _reduce_against(field, row, elim):
-    """Eliminate ``row`` against normalized rows keyed by pivot column."""
-    row = list(row)
-    for col in range(len(row)):
-        if row[col] and col in elim:
-            f = row[col]
-            piv = elim[col]
-            row = [field.sub(x, field.mul(f, y)) for x, y in zip(row, piv)]
-    return tuple(row)
-
-
-def _leading_index(row):
-    return next((i for i, x in enumerate(row) if x), None)
-
-
-def independent_rows(field, rows):
-    """Subset of the original rows spanning the same space, order preserved."""
-    elim = {}
-    keep = []
-    for row in rows:
-        red = _reduce_against(field, row, elim)
-        lead = _leading_index(red)
-        if lead is None:
-            continue
-        inv = field.inv(red[lead])
-        elim[lead] = tuple([field.mul(inv, x) for x in red])
-        keep.append(tuple(row))
-    return keep
-
-
-@cache
-def identity_rows(n):
-    """The n unit vectors of length n, as a tuple of tuples built once per n."""
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def kernel_basis(field, rows, ncols):
-    """Basis of the right kernel {h : r . h = 0 for every row r}."""
-    return _rref_kernel(field, *row_reduce(field, rows), ncols)
-
-
-def _rref_kernel(field, rref, pivots, ncols):
-    """Basis of the right kernel of ``rref``, a reduced row echelon form
-    with pivot columns ``pivots``: one vector per free column, read off
-    without elimination."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        h = [0] * ncols
-        h[f] = 1
-        for i, p in enumerate(pivots):
-            h[p] = field.neg(rref[i][f])
-        basis.append(tuple(h))
-    return basis
-
-
-def _left_inverse(field, rows, cols):
-    """A solver for y . rows = target, built once per matrix.
-
-    Row-reduces ``rows`` restricted to the coordinates ``cols``, with the
-    identity appended, so the appended columns record the row operations.
-    Returns None when the restriction has rank below len(rows).
-    Otherwise returns (info, M): ``info`` holds k of the coordinates in
-    ``cols`` on which the restricted rows are invertible, and M is the
-    inverse of that k x k submatrix.  Then y = target[info] . M is the
-    only y that can solve the system; it does when y . rows agrees with
-    ``target`` on ``cols``, which the caller checks.
-    """
-    k = len(rows)
-    width = len(cols)
-    aug = [[row[c] for c in cols] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
-    rref, pivots = row_reduce(field, aug)
-    if pivots and pivots[-1] >= width:  # the identity keeps the rank at k
-        return None
-    return tuple(cols[p] for p in pivots), tuple(row[width:] for row in rref)
-
-
 def _stream_combinations(field, rows, length):
     """Yield every linear combination of ``rows`` in lexicographic message order.
 
@@ -318,208 +221,6 @@ def _stream_combinations(field, rows, length):
         yield prefix[k]
 
 
-def krawtchouk(q: int, n: int, j: int, i: int) -> int:
-    """Hamming-metric Krawtchouk coefficient K_j(i) for length n over F_q."""
-    if not 0 <= i <= n or not 0 <= j <= n:
-        raise ParameterError(f"Krawtchouk indices must lie in [0, {n}]")
-    out = 0
-    for s in range(j + 1):
-        out += comb(n - i, j - s) * comb(i, s) * (q - 1) ** (j - s) * (-1) ** s
-    return out
-
-
-@cache
-def _krawtchouk_table(q, b):
-    return tuple(tuple(krawtchouk(q, b, j, i) for i in range(b + 1)) for j in range(b + 1))
-
-
-@cache
-def _krawtchouk_columns(q, b, bits):
-    """Per i, the column K_j(i), j = 0 .. b, packed as sum_j K_j(i) << (j * bits)."""
-    table = _krawtchouk_table(q, b)
-    return tuple(sum(row[i] << j * bits for j, row in enumerate(table)) for i in range(b + 1))
-
-
-def krawtchouk_tables(q, blocks):
-    """Per block of length b, the (b + 1) x (b + 1) table K[j][i] = K_j(i),
-    built once per (q, b)."""
-    return [_krawtchouk_table(q, b) for b in blocks]
-
-
-# the longest run of steps of a Gray code's low digits kept as one list,
-# and the number of words whose profiles are counted as one batch
-_GRAY_RUN = 1 << 12
-_SCAN_BATCH = 1 << 12
-
-
-def _gray_steps(p, k):
-    """The digit that the modular p-ary Gray code on k digits increments,
-    by one, at each step t = 1 .. p^k - 1: the p-adic valuation of t.
-
-    The steps of the low digits, a run of p^low - 1, repeat between any
-    two steps of the high digits, so the run is one list.
-    """
-    low = min(k, 1)
-    while low < k and p ** (low + 1) <= _GRAY_RUN:
-        low += 1
-    run = []
-    for i in range(low):
-        run = (run + [i]) * (p - 1) + run
-    if low == k:
-        return run
-    high = _gray_steps(p, k - low)
-    return chain(run, chain.from_iterable(chain((j + low,), run) for j in high))
-
-
-def _packed_counts(field, rows, blocks):
-    """Map block profile -> number of words in the span of the
-    independent ``rows``, by one packed scan in Gray-code order.
-
-    Over F_(p^m) a word is one integer with ``width`` bits per
-    coordinate: the m base-p digits of the coordinate's element
-    (:meth:`~whmetric.field.Field.expand`) in lanes of ``lane`` bits, low
-    digit lowest, and a flag bit above them.  The F_(p^m)-span of the rows
-    is the F_p-span of beta * row for the k m pairs of a row and a beta =
-    p^i, i < m (the polynomial basis), each packed once.  The scan visits
-    the p^(k m) words in the order of the modular p-ary Gray code, so each
-    word is the last one plus one packed row: their XOR when p = 2.  For
-    odd p a lane has a guard bit above its digit; after the integer sum,
-    adding 2^digit - p to every lane sets the guard of each lane whose
-    digit sum reached p, and p is taken from those lanes.  Adding
-    2^(m lane) - 1 to each coordinate then carries into its flag exactly
-    when one of its lanes is nonzero, and a block's count is the
-    ``bit_count`` of its flags.
-    """
-    p, m = field.q, field.m
-    digit = (p - 1).bit_length()
-    lane = digit if p == 2 else digit + 1
-    width = m * lane + 1
-    n = sum(blocks)
-    scaled = [[field.mul(p**i, x) for x in row] if i else row for row in rows for i in range(m)]
-    cells = {  # element -> its coordinate's bits, high bit first, flag clear
-        x: "0" + "".join([format(d, f"0{lane}b") for d in reversed(field.expand(x))])
-        for x in set(chain.from_iterable(scaled))
-    }
-    basis = [int("".join(map(cells.__getitem__, reversed(row))), 2) for row in scaled]
-    ones = int(("0" + "1" * (width - 1)) * n, 2)
-    flags = int(("1" + "0" * (width - 1)) * n, 2)
-    masks, start = [], 0
-    for b in blocks:
-        masks.append(flags & ((1 << b * width) - 1) << start * width)
-        start += b
-    if p == 2:
-        add = xor
-    else:
-        excess = int(("0" + format(2**digit - p, f"0{lane}b") * m) * n, 2)
-        guards = int(("0" + ("1" + "0" * digit) * m) * n, 2)
-
-        def add(word, row):
-            total = word + row
-            return total - (((total + excess) & guards) >> digit) * p
-
-    words = accumulate(map(basis.__getitem__, _gray_steps(p, len(basis))), add, initial=0)
-    flagged = map(ones.__add__, words)
-    counts = Counter()
-    while batch := list(islice(flagged, _SCAN_BATCH)):
-        counts.update(zip(*[map(int.bit_count, map(mask.__and__, batch)) for mask in masks]))
-    return counts
-
-
-def _macwilliams(q, blocks, dual_counts, dual_size, size):
-    """The code's profile counts from its dual's, by the MacWilliams
-    identity for split weight enumerators:
-
-        A(j) = (1 / |C_dual|) * sum_i B(i) * prod_l K_{j_l}(i_l; b_l, q).
-
-    The P sums |C_dual| A(j), one per profile j in lexicographic order,
-    are the lanes of one integer, built in one pass over the dual's
-    nonzero profiles from the last block to the first.  A node holds the
-    packed sums, over the blocks after them, of the dual profiles that
-    share its leading entries: W lanes in all.  Each profile adds its
-    count times the packed Krawtchouk column K_m[.][i_m] of the last
-    block to the node of its leading entries, and each earlier block l
-    folds a node's children T_i into sum_j (sum_i K_l[j][i] T_i) << (j W
-    lane).  A lane is the fewest 64-bit words that hold
-    2 (sum_i |B(i)|) q^n, twice the largest |sum|, sized from the dual's
-    own counts, so the lanes are balanced signed integers that never
-    spill into each other.
-
-    The root is read back once, through the host's byte order as in
-    :class:`_Product`.  Every A(j) is a non-negative integer exactly when
-    the root is a multiple of |C_dual| whose quotient's lanes, read
-    unsigned, are below half a lane's range over |C_dual|; those lanes
-    are then the A(j).  Otherwise the lanes are read offset by half their
-    range, and the first that is not a non-negative multiple is a defect.
-    A(0) must also be 1 and the counts must sum to ``size``.
-    """
-    tables = krawtchouk_tables(q, blocks)
-    total = sum(map(abs, dual_counts.values()))
-    bits = (2 * total * q ** sum(blocks)).bit_length()
-    lane = 64 * max(1, -(-bits // 64))
-    # the bits of one entry of block l: a node's lanes over the blocks after l
-    shifts = list(accumulate((len(t) for t in tables[:0:-1]), mul, initial=lane))[::-1]
-    last = len(blocks) - 1
-    columns = _krawtchouk_columns(q, blocks[last], lane)
-
-    def fold(l, group):
-        """The packed transform over blocks l onwards of the (profile,
-        count) pairs in ``group``, which share their first l entries."""
-        if l == last:
-            return sum([count * columns[p[l]] for p, count in group])
-        children = [0] * len(tables[l])
-        for i, sub in groupby(group, lambda item: item[0][l]):
-            children[i] = fold(l + 1, sub)
-        node = 0
-        for row in reversed(tables[l]):
-            node = (node << shifts[l]) + sum(map(mul, row, children))
-        return node
-
-    root = fold(0, iter(sorted(dual_counts.items())))
-    lanes = prod(len(t) for t in tables)
-    profiles = product(*(range(b + 1) for b in blocks))
-    half = 1 << lane - 1
-    quotient, rest = divmod(root, dual_size)
-    # Every lane is a non-negative multiple of dual_size iff the root is a
-    # multiple whose quotient's lanes, read unsigned, are below half / dual_size.
-    values = None if rest or root < 0 else _unpack_lanes(quotient, lanes, lane)
-    if values is None or max(values) * dual_size >= half:
-        bias = int.from_bytes(half.to_bytes(lane // 8, "little") * lanes, "little")
-        for jprof, value in zip(profiles, _unpack_lanes(root + bias, lanes, lane)):
-            acc = value - half  # some lane fails, so the loop raises
-            if acc % dual_size or acc < 0:
-                raise DefectError(
-                    f"MacWilliams transform gives {acc}/{dual_size} codewords of profile {jprof}"
-                )
-    if values[0] != 1 or sum(values) != size:
-        raise DefectError("MacWilliams transform does not count the zero word once and every word")
-    return dict(zip(compress(profiles, values), filter(None, values)))
-
-
-def _unpack_lanes(value, lanes, lane):
-    """The ``lanes`` unsigned lanes of ``lane`` bits (a multiple of 64),
-    lowest first, of the non-negative ``value``, read through the host's
-    byte order."""
-    raw = value.to_bytes(lanes * lane // 8, byteorder)
-    if lane == 64:
-        out = memoryview(raw).cast("Q").tolist()
-    else:
-        size = lane // 8
-        out = [int.from_bytes(raw[i : i + size], byteorder) for i in range(0, len(raw), size)]
-    if byteorder == "big":
-        out.reverse()
-    return out
-
-
-def _admit(code, limits):
-    """The number q^k of ``code``'s words, if ``limits`` admit scanning them."""
-    size = code.field.order**code.k
-    if size > limits.max_codewords:
-        raise ExhaustionError(
-            f"exhaustion refused: {size} codewords exceeds the limit {limits.max_codewords}"
-        )
-    return size
-
-
 def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     """Map block profile -> number of codewords of ``code`` with it.
 
@@ -533,9 +234,9 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     q^k words, or the dual's q^(n-k) words plus the P profiles the
     transform fills, each profile counted as one scanned word.  A space
     of many short blocks has so many profiles that it keeps the direct
-    scan.  Either side is counted by one :func:`_packed_counts` scan of
+    scan.  Either side is counted by one :func:`.enumerator._packed_counts` scan of
     its basis.  The dual's counts are mapped to the code's by
-    :func:`_macwilliams`, with q the order of the code's field: one pass
+    :func:`.enumerator._macwilliams`, with q the order of the code's field: one pass
     over the dual's nonzero profiles in packed integer lanes, read back
     once and checked exactly.  The counts are kept on the code, once per
     ``blocks``, and each call returns a copy.
@@ -548,23 +249,6 @@ def split_weight_enumerator(code, blocks, limits=DEFAULT_LIMITS):
     if counts is None:
         counts = code._enumerators[blocks] = _split_counts(code, blocks, size)
     return dict(counts)
-
-
-def _split_counts(code, blocks, size):
-    """The profile counts of the ``size`` words of ``code``, scanned on
-    whichever of the code and its dual is cheaper.
-
-    The dual's basis is the code's cached ``parity_rows``, read off a
-    generator built as [I | A] or off the reduced form a
-    :class:`LinearCode` holds, so a dual scan does no elimination of
-    its own."""
-    field = code.field
-    q = field.order
-    r = code.n - code.k
-    if q**r + prod(b + 1 for b in blocks) >= size:
-        return dict(sorted(_packed_counts(field, code.generator, blocks).items()))
-    dual_counts = _packed_counts(field, code.parity_rows, blocks)
-    return _macwilliams(q, blocks, dual_counts, q**r, size)
 
 
 # -- codes ------------------------------------------------------------------
@@ -798,23 +482,16 @@ class LinearCode(PolyalphabeticCode):
         self._check_word(r)
         table = self._syndrome_table
         if table is None:
-            radius = (self._decoding_distance() - 1) // 2
+            d = self._decoding_distance()
             if self.field.order ** (self.n - self.k) <= SYNDROME_TABLE_LIMIT:
-                table = self._syndrome_table = self._build_syndrome_table(radius)
+                table = self._syndrome_table = self._build_syndrome_table((d - 1) // 2)
         if table is not None:
             syndrome = self._checks(r)
             if not any(syndrome):
                 return tuple(r)  # a codeword, at distance 0
             e = table.get(syndrome)
             return FAIL if e is None else vec_sub(self.field, r, e)
-        best, best_d = None, radius + 1
-        for c in self.codewords():
-            dist = hamming_distance(c, r)
-            if dist < best_d:
-                best, best_d = c, dist
-                if dist == 0:
-                    break
-        return best
+        return _nearest_by_scan(self, self._offsets, 0, d, tuple(r))
 
     # -- structure -----------------------------------------------------
 
@@ -1040,17 +717,7 @@ class NestedChain:
         for j in range(self.s):
             sub_rows = list(codes[j + 1].rref) if j + 1 < self.s else []
             elim = {_leading_index(row): row for row in sub_rows}
-            q_rows = []
-            for row in codes[j].rref:
-                red = _reduce_against(field, row, elim)
-                lead = _leading_index(red)
-                if lead is None:
-                    continue
-                inv = field.inv(red[lead])
-                norm = tuple([field.mul(inv, x) for x in red])
-                elim[lead] = norm
-                q_rows.append(norm)
-            quotient.append(tuple(q_rows))
+            quotient.append(tuple([norm for _, norm in _echelon(field, codes[j].rref, elim)]))
             sub_basis.append(tuple(sub_rows))
         self.quotient_rows = tuple(quotient)
         self.sub_basis = tuple(sub_basis)
@@ -1123,13 +790,7 @@ def named_code(family, field, n, k=None):
     if family == "parity":
         _fixed_dimension(k, n - 1, f"parity-check code of length {n} has dimension {n - 1}")
         minus_one = field.neg(1)
-        rows = []
-        for i in range(n - 1):
-            row = [0] * n
-            row[i] = 1
-            row[n - 1] = minus_one
-            rows.append(tuple(row))
-        return LinearCode(field, rows)
+        return LinearCode(field, [unit[:-1] + (minus_one,) for unit in identity_rows(n)[:-1]])
     if family == "full":
         _fixed_dimension(k, n, f"the full space of length {n} has dimension {n}")
         return LinearCode(field, identity_rows(n))
@@ -1180,24 +841,13 @@ def parse_matrix_text(text):
     except ValueError as exc:
         raise ParameterError(f"matrix file has a non-integer token: {exc}") from None
 
-    def shape_fits(header_len):
-        header = values[:header_len]
-        body_len = len(values) - header_len
-        if header_len == 3:
-            q, n, k = header
-            m = 1
-        else:
-            q, m, n, k = header
-        return body_len == n * k and n >= 1 and k >= 1 and m >= 1 and q >= 2
-
-    header_len = next((h for h in (3, 4) if len(values) > h and shape_fits(h)), None)
-    if header_len is None:
-        raise ParameterError("matrix file does not match 'q n k' or 'q m n k' plus k rows")
-    if header_len == 3:
-        q, n, k = values[:3]
-        m = 1
+    for header_len in (3, 4):
+        if len(values) > header_len:
+            q, m, n, k = values[:4] if header_len == 4 else (values[0], 1, *values[1:3])
+            if len(values) - header_len == n * k and n >= 1 and k >= 1 and m >= 1 and q >= 2:
+                break
     else:
-        q, m, n, k = values[:4]
+        raise ParameterError("matrix file does not match 'q n k' or 'q m n k' plus k rows")
     field = make_prime_field(q) if m == 1 else make_extension_field(q, m)
     body = values[header_len:]
     rows = [tuple(body[i * n : (i + 1) * n]) for i in range(k)]

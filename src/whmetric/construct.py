@@ -39,7 +39,6 @@ from .code import (
     LinearCode,
     NestedChain,
     PolyalphabeticCode,
-    identity_rows,
     load_matrix_file,
     named_code,
     vec_add,
@@ -47,6 +46,7 @@ from .code import (
 )
 from .errors import DefectError, ParameterError
 from .field import make_extension_field, make_prime_field
+from .linalg import identity_rows
 
 
 def poly_from_mother(mother: LinearCode, sizes) -> PolyalphabeticCode:
@@ -133,7 +133,7 @@ def outer_code(field, widths, family=None, k=None) -> PolyalphabeticCode:
     """Polyalphabetic outer code over ``field`` with symbol widths ``widths``.
 
     Without ``family`` it is the whole space: the identity generator,
-    whose rows :func:`~whmetric.code.identity_rows` builds once per length.
+    whose rows :func:`~whmetric.linalg.identity_rows` builds once per length.
     Otherwise it comes from the [m, k] ``family`` mother code over the
     extension field of degree (sorted widths)[k-1], through
     :func:`poly_from_mother`, with its symbols put back in the order of

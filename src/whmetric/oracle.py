@@ -125,19 +125,23 @@ def exhaustive_decoder_check(
     gcc: GccCode, t, limits=DEFAULT_LIMITS, seed=1, sample_size=100
 ) -> DecoderCheckReport:
     """Decode c + e for every weighted error of weight <= t around every
-    codeword (a seeded sample of codewords above 2^10 of them); reports
-    the decoding failures."""
+    codeword (a seeded sample of ``sample_size`` codewords above 2^10 of
+    them); reports the decoding failures.  The errors are the radius-t
+    ball, so the trials are counted from its size and refused before any
+    error is listed."""
     if t < 0:
         raise ParameterError("radius must be non-negative")
+    if not isinstance(sample_size, int) or sample_size < 1:
+        raise ParameterError(f"sample_size must be a positive integer, got {sample_size!r}")
     space = gcc.space
-    errors = list(weighted_error_vectors(space, t))
     total_codewords = gcc.field.order**gcc.k
     checked = total_codewords if total_codewords <= 1 << 10 else sample_size
-    if len(errors) * checked > limits.max_ambient:
+    planned = space.ball_size(t) * checked
+    if planned > limits.max_ambient:
         raise ExhaustionError(
-            f"exhaustion refused: {len(errors) * checked} trials exceeds the limit "
-            f"{limits.max_ambient}"
+            f"exhaustion refused: {planned} trials exceeds the limit {limits.max_ambient}"
         )
+    errors = list(weighted_error_vectors(space, t))
     if total_codewords <= 1 << 10:
         codewords = list(gcc.as_linear_code().codewords())
     else:

@@ -20,9 +20,10 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
-from whmetric.bounds import covering_bound, krawtchouk, packing_bound, singleton_bound
+from whmetric.bounds import covering_bound, packing_bound, singleton_bound
 from whmetric.cli import main
 from whmetric.code import named_code
+from whmetric.enumerator import krawtchouk
 from whmetric.metric import WeightedSpace
 from whmetric.oracle import (
     block_weight_enumerator,

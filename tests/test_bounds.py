@@ -15,7 +15,6 @@ from whmetric.bounds import (
     capability_range_from_distance,
     covering_bound,
     distance_required_for_capability,
-    krawtchouk,
     lp_bound,
     lp_bound_detail,
     packing_bound,
@@ -23,6 +22,7 @@ from whmetric.bounds import (
     singleton_k_for_t,
 )
 from whmetric.code import named_code
+from whmetric.enumerator import krawtchouk
 from whmetric.errors import DefectError, ParameterError
 from whmetric.metric import WeightedSpace
 from whmetric.oracle import block_weight_enumerator

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import F2, F3, F7, vec_dot
-from whmetric import code as code_module
+from whmetric import enumerator
 from whmetric.code import (
     Limits,
     LinearCode,
@@ -150,7 +150,7 @@ def _double_circulant(k, first):
 )
 def test_packed_scan_matches_brute_force(case):
     code, blocks = case
-    packed = code_module._packed_counts(code.field, code.generator, blocks)
+    packed = enumerator._packed_counts(code.field, code.generator, blocks)
     assert packed == brute_force_enumerator(code, blocks)
 
 
@@ -160,20 +160,20 @@ def test_gray_steps_are_p_adic_valuations(p, k):
     def valuation(t):
         return 0 if t % p else 1 + valuation(t // p)
 
-    assert list(code_module._gray_steps(p, k)) == [valuation(t) for t in range(1, p**k)]
+    assert list(enumerator._gray_steps(p, k)) == [valuation(t) for t in range(1, p**k)]
 
 
 def _count_scanned(monkeypatch):
     """Record the rows and the number of words of each packed scan."""
     scans = []
-    original = code_module._packed_counts
+    original = enumerator._packed_counts
 
     def counting(field, rows, blocks):
         counts = original(field, rows, blocks)
         scans.append((list(rows), sum(counts.values())))
         return counts
 
-    monkeypatch.setattr(code_module, "_packed_counts", counting)
+    monkeypatch.setattr(enumerator, "_packed_counts", counting)
     return scans
 
 
@@ -196,8 +196,8 @@ def test_low_rate_code_is_scanned_directly(monkeypatch):
 
 
 def _tamper_dual_scan(monkeypatch, tamper):
-    original = code_module._packed_counts
-    monkeypatch.setattr(code_module, "_packed_counts", lambda *args: tamper(original(*args)))
+    original = enumerator._packed_counts
+    monkeypatch.setattr(enumerator, "_packed_counts", lambda *args: tamper(original(*args)))
 
 
 def test_a_dual_scan_with_a_word_too_many_is_a_defect(monkeypatch):
@@ -277,7 +277,7 @@ def test_packed_transform_matches_brute_force(case):
     code, blocks = case
     q = code.field.order
     dual = _dual_counts(code, blocks)
-    counts = code_module._macwilliams(q, blocks, dual, q ** (code.n - code.k), q**code.k)
+    counts = enumerator._macwilliams(q, blocks, dual, q ** (code.n - code.k), q**code.k)
     assert counts == brute_force_enumerator(code, blocks)
     assert list(counts) == sorted(counts)
 
@@ -310,7 +310,7 @@ def test_transform_with_lanes_past_eight_bytes():
         if a:
             expected[j] = a
     assert max(expected.values()) * 49 >= 2**63
-    counts = code_module._macwilliams(7, blocks, dual, 49, 7**22)
+    counts = enumerator._macwilliams(7, blocks, dual, 49, 7**22)
     assert counts == expected
     assert sum(counts.values()) == 7**22
     nonzero = max(p for p in dual if any(p))
@@ -318,4 +318,4 @@ def test_transform_with_lanes_past_eight_bytes():
     swapped[nonzero] -= 1
     swapped[(1, 0)] = swapped.get((1, 0), 0) + 1
     with pytest.raises(DefectError, match="MacWilliams transform gives"):
-        code_module._macwilliams(7, blocks, swapped, 49, 7**22)
+        enumerator._macwilliams(7, blocks, swapped, 49, 7**22)

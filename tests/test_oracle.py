@@ -8,10 +8,11 @@ from helpers import (
     two_block_code,
     two_level_code,
 )
-from whmetric import code as code_module
+from whmetric import enumerator
+from whmetric import oracle as oracle_module
 from whmetric.bounds import singleton_bound
 from whmetric.code import Limits, named_code
-from whmetric.errors import ExhaustionError
+from whmetric.errors import ExhaustionError, ParameterError
 from whmetric.metric import WeightedSpace
 from whmetric.oracle import (
     ambient_ball_count,
@@ -121,13 +122,13 @@ def test_distance_and_capability_share_one_scan(monkeypatch):
     space, gcc = three_block_code()
     code = gcc.as_linear_code()
     scans = []
-    count = code_module._packed_counts
+    count = enumerator._packed_counts
 
     def counted(field, rows, blocks):
         scans.append(blocks)
         return count(field, rows, blocks)
 
-    monkeypatch.setattr(code_module, "_packed_counts", counted)
+    monkeypatch.setattr(enumerator, "_packed_counts", counted)
     assert exact_min_weighted_distance(code, space) == 6
     assert exact_capability(code, space) == 2
     assert len(scans) == 1
@@ -169,3 +170,27 @@ def test_decoder_check_sampling_is_seeded():
     b = exhaustive_decoder_check(gcc, 1, seed=5, sample_size=10)
     assert a.trials == b.trials == 10 * 8
     assert a.failures == b.failures == 0
+
+
+def test_decoder_check_refuses_before_listing_an_error(monkeypatch):
+    from helpers import hamming_concatenation
+
+    space, gcc = hamming_concatenation()
+    for t in (1, 4):  # the listed errors are the radius-t ball
+        assert len(list(weighted_error_vectors(space, t))) == space.ball_size(t)
+
+    def listed(*args):
+        raise AssertionError("a refused check listed its errors")
+
+    monkeypatch.setattr(oracle_module, "weighted_error_vectors", listed)
+    with pytest.raises(ExhaustionError, match="96556900 trials"):
+        exhaustive_decoder_check(gcc, 20)
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.5, "10", None])
+def test_decoder_check_refuses_a_sample_size_that_is_not_positive(size):
+    from helpers import hamming_concatenation
+
+    space, gcc = hamming_concatenation()
+    with pytest.raises(ParameterError, match="sample_size"):
+        exhaustive_decoder_check(gcc, 1, sample_size=size)

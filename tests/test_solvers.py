@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from helpers import F2, F3, mixed_code_from_parity_mother
 from whmetric import cli
 from whmetric import code as code_module
+from whmetric import linalg
 from whmetric.code import (
     FAIL,
     LinearCode,
@@ -216,7 +217,7 @@ def codes_for_error_trials(draw):
         top = min(len(points), 7)
         n = draw(st.integers(max(r + 1, top - 2), top))
         columns = points[:n]
-        rows = code_module.kernel_basis(field, [[col[i] for col in columns] for i in range(r)], n)
+        rows = linalg.kernel_basis(field, [[col[i] for col in columns] for i in range(r)], n)
         k = n - r
     if draw(st.booleans()):
         code = LinearCode(field, rows)
@@ -370,7 +371,7 @@ def test_a_warmed_decoder_makes_no_row_reduction(monkeypatch):
     gcc = cli.build_gcc_from_config(cli.parse_config(RS4_CONFIG))
     words = _noisy_words(gcc, 60, seed=9)
     calls = []
-    row_reduce = code_module.row_reduce
+    row_reduce = linalg.row_reduce
 
     def counted(field, rows):
         calls.append(len(rows))
@@ -385,7 +386,8 @@ def test_a_warmed_decoder_makes_no_row_reduction(monkeypatch):
             return codewords(self)
 
         monkeypatch.setattr(cls, "codewords", counted_stream)
-    monkeypatch.setattr(code_module, "row_reduce", counted)
+    for module in (code_module, linalg):  # the code classes and the kept-set builds
+        monkeypatch.setattr(module, "row_reduce", counted)
     cold = [gcc_decode(gcc, w) for w in words]
     assert calls  # the counter sees the erasure solvers being built
     calls.clear()
