@@ -36,10 +36,14 @@ from .metric import WeightedSpace
 from .ratlp import LinearProgram, _verify, solve_sweep
 
 
+def _check_radius(t):
+    if not isinstance(t, int) or t < 0:
+        raise ParameterError(f"capability must be a non-negative integer, got {t!r}")
+
+
 def packing_bound(space: WeightedSpace, t: int) -> int:
     """Largest k with q^k * |ball(t)| <= q^N."""
-    if t < 0:
-        raise ParameterError("capability must be non-negative")
+    _check_radius(t)
     q, n = space.q, space.n
     size = space.ball_size(t)
     target = q**n
@@ -52,8 +56,7 @@ def packing_bound(space: WeightedSpace, t: int) -> int:
 def covering_bound(space: WeightedSpace, t: int) -> int:
     """Smallest k with q^k * |diff_ball(t)| >= q^N; a code of this
     dimension and capability t exists."""
-    if t < 0:
-        raise ParameterError("capability must be non-negative")
+    _check_radius(t)
     q, n = space.q, space.n
     size = space.diff_ball_size(t)
     target = q**n
@@ -76,15 +79,14 @@ def _singleton_profile(space: WeightedSpace, k: int):
 def singleton_bound(space: WeightedSpace, k: int) -> int:
     """Capability ceiling for any k-dimensional code: every such code has
     a codeword supported on the first N - k + 1 coordinates."""
-    if not 1 <= k <= space.n:
-        raise ParameterError(f"dimension must be in [1, {space.n}], got {k}")
+    if not isinstance(k, int) or not 1 <= k <= space.n:
+        raise ParameterError(f"dimension must be an integer in [1, {space.n}], got {k!r}")
     return space.profile_capability(_singleton_profile(space, k))
 
 
 def singleton_k_for_t(space: WeightedSpace, t: int) -> int:
     """Largest dimension whose singleton capability ceiling is >= t."""
-    if t < 0:
-        raise ParameterError("capability must be non-negative")
+    _check_radius(t)
     for k in range(space.n, 0, -1):
         if singleton_bound(space, k) >= t:
             return k
@@ -192,8 +194,7 @@ def _lp_sweep(space: WeightedSpace, radii):
 
 def lp_bound_detail(space: WeightedSpace, t: int):
     """LP dimension bound together with the exact rational LP optimum."""
-    if t < 0:
-        raise ParameterError("capability must be non-negative")
+    _check_radius(t)
     return next(_lp_sweep(space, [t]))
 
 
@@ -203,16 +204,15 @@ def lp_bound(space: WeightedSpace, t: int) -> int:
 
 def capability_range_from_distance(space: WeightedSpace, d: int):
     """Bracket on the capability of a code with minimum weighted distance d."""
-    if d < 1:
-        raise ParameterError("distance must be positive")
+    if not isinstance(d, int) or d < 1:
+        raise ParameterError(f"distance must be a positive integer, got {d!r}")
     lam_max = space.scales[-1]
     return (d - 1) // 2, (d + lam_max) // 2 - 1
 
 
 def distance_required_for_capability(t: int) -> int:
     """A minimum weighted distance of 2t + 1 guarantees capability >= t."""
-    if t < 0:
-        raise ParameterError("capability must be non-negative")
+    _check_radius(t)
     return 2 * t + 1
 
 
@@ -269,8 +269,9 @@ class BoundTable:
 def build_bound_table(space: WeightedSpace, t_min: int, t_max: int) -> BoundTable:
     """The four bounds at every radius t_min..t_max; the LP bounds come
     from one downward sweep, t_max first."""
-    if t_min < 0:
-        raise ParameterError("capability must be non-negative")
+    _check_radius(t_min)
+    if not isinstance(t_max, int):
+        raise ParameterError(f"capability must be an integer, got {t_max!r}")
     radii = range(t_max, t_min - 1, -1)
     lp = list(_lp_sweep(space, radii))[::-1] if radii else []
     rows = []

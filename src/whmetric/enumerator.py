@@ -140,11 +140,12 @@ def _macwilliams(q, blocks, dual_counts, dual_size, size):
     spill into each other.
 
     The root is read back once, through the host's byte order as in
-    :class:`_Product`.  Every A(j) is a non-negative integer exactly when
-    the root is a multiple of |C_dual| whose quotient's lanes, read
-    unsigned, are below half a lane's range over |C_dual|; those lanes
-    are then the A(j).  Otherwise the lanes are read offset by half their
-    range, and the first that is not a non-negative multiple is a defect.
+    :class:`~whmetric.code._Product`.  Every A(j) is a non-negative
+    integer exactly when the root is a multiple of |C_dual| whose
+    quotient's lanes, read unsigned, are below half a lane's range over
+    |C_dual|; those lanes are then the A(j).  Otherwise the lanes are
+    read offset by half their range, and the first that is not a
+    non-negative multiple is a defect.
     A(0) must also be 1 and the counts must sum to ``size``.
     """
     tables = krawtchouk_tables(q, blocks)
@@ -221,8 +222,8 @@ def _split_counts(code, blocks, size):
 
     The dual's basis is the code's cached ``parity_rows``, read off a
     generator built as [I | A] or off the reduced form a
-    :class:`LinearCode` holds, so a dual scan does no elimination of
-    its own."""
+    :class:`~whmetric.code.LinearCode` holds, so a dual scan does no
+    elimination of its own."""
     field = code.field
     q = field.order
     r = code.n - code.k

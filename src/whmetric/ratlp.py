@@ -28,6 +28,22 @@ its columns and fixing the rest at zero.  Unlocking a column keeps the
 basis feasible, so each stage appends its new columns and the same
 simplex continues; :func:`solve_max` is the sweep of one stage.
 
+Each stage is first guided by floats (Applegate, Cook, Dash and
+Espinoza, Oper. Res. Lett. 2007).  A float copy of the tableau is
+solved by its own primal simplex, and only the set of basic variables
+it ends with is kept.  Exact crossing pivots then exchange the current
+basis for that one, each entering a variable of the float basis for a
+basic variable outside it.  If the float basis is singular or not
+feasible, the tableau is restored as it was before crossing.  The exact
+simplex then continues from whichever basis it holds, under the rules
+above: it takes no pivot when the float basis is optimal, and finishes
+the stage exactly when it is not.  Crossing takes one exact pivot per
+variable that the float basis adds, however many float pivots found it,
+so the exact simplex skips the path's degenerate pivots and detours.
+Floats only choose where the exact simplex starts: every stage still
+ends in the exact optimality test and the certificate below, so they
+can neither change an optimal value nor pass a wrong one.
+
 A returned optimum is certified, not trusted, against its own stage's
 program: the primal witness is re-substituted into every constraint,
 and the dual multipliers read from the final objective row must meet
@@ -100,9 +116,10 @@ def _pivot(tableau, dens, pr, pc):
     column ``pc``, in every row (objective row included), in place.
 
     Row i is ``tableau[i] / dens[i]`` in lowest terms; the pivot entry p
-    is positive.  A row with a zero g in the pivot column is unchanged;
-    every other row is updated with p and g divided by gcd(p, g) first,
-    then reduced to lowest terms again.
+    is nonzero, negative only on a crossing pivot.  A row with a zero g
+    in the pivot column is unchanged; every other row is updated with p
+    and g divided by h = ±gcd(p, g) first, h of p's sign so that every
+    denominator stays positive, then reduced to lowest terms again.
     """
     prow = tableau[pr]
     p, dr = prow[pc], dens[pr]
@@ -111,18 +128,24 @@ def _pivot(tableau, dens, pr, pc):
         if i == pr or not g:
             continue
         h = gcd(p, g)
+        if p < 0:
+            h = -h
         u, w = p // h, g // h
         row[:] = [u * a - w * b for a, b in zip(row, prow)]
         row[pc] = -w * dr
         dens[i] = _lowest_terms(row, dens[i] * u)
     prow[pc] = dr
+    if p < 0:
+        prow[:] = [-a for a in prow]
+        p = -p
     dens[pr] = _lowest_terms(prow, p)
 
 
 def _steepest_edge(body, dens, obj, candidates):
     """The entering column of largest c_j^2 / (1 + |B^-1 a_j|^2) among
     ``candidates`` (variable, column) pairs, ties to the lowest variable;
-    None when an entry is too large for a float.
+    the lowest variable when an entry is too large for a float.  The
+    float guide calls it on its float copy, over denominators of 1.
 
     Floats only rank columns that all improve the objective, so the pivot
     stays exact whatever they round to, an infinite or NaN score
@@ -144,7 +167,7 @@ def _steepest_edge(body, dens, obj, candidates):
             if best is None or score > best[0] or (score == best[0] and v < best[1]):
                 best = score, v, j
     except OverflowError:
-        return None
+        return min(candidates)[1]
     return best[2]
 
 
@@ -169,8 +192,6 @@ def _simplex(tableau, dens, basic, nonbasic):
         if not candidates:
             return "optimal"
         enter = _steepest_edge(body, dens, obj, candidates)
-        if enter is None:
-            enter = min(candidates)[1]
         ties, num, div = [], 0, 0
         for i, row in enumerate(body):
             a = row[enter]
@@ -243,6 +264,108 @@ def _unlock(tableau, dens, basic, nonbasic, scaled, objective, columns):
         nonbasic.append(c)
 
 
+# The float guide: its tolerance, and the most pivots it takes on a stage.
+_GUIDE_TOLERANCE = 1e-9
+_GUIDE_PIVOTS = 1000
+
+
+def _float_basis(tableau, dens, basic, nonbasic):
+    """The basic variables at the optimum of a float copy of ``tableau``,
+    or None when the copy is unbounded, overflows or takes more than
+    ``_GUIDE_PIVOTS`` pivots.
+
+    The copy takes one correctly rounded ``int / int`` per entry and runs
+    the primal simplex, priced by :func:`_steepest_edge` over unit
+    denominators, with Harris's two-pass ratio test (Harris, Math.
+    Programming 1973): pass one bounds the step by the ratios with every
+    rhs relaxed by the tolerance, and pass two takes the largest pivot
+    entry within that bound.  An entry counts as nonzero beyond the
+    tolerance.  Every float is formed with ``+``, ``-``, ``*``, ``/`` and
+    comparisons alone, in a fixed order (no ``sum``, which Python 3.12
+    compensates), so every IEEE-754 platform reaches the same basis.
+    The result only chooses where the exact simplex starts.
+    """
+    try:
+        table = [[a / d for a in row] for row, d in zip(tableau, dens)]
+    except OverflowError:
+        return None
+    *body, obj = table
+    ones = [1] * len(table)
+    basic, nonbasic = basic[:], nonbasic[:]
+    tol = _GUIDE_TOLERANCE
+    for _ in range(_GUIDE_PIVOTS):
+        candidates = [(v, j) for j, v in enumerate(nonbasic) if obj[j] < -tol]
+        if not candidates:
+            return set(basic)
+        enter = _steepest_edge(body, ones, obj, candidates)
+        bound = None
+        for row in body:
+            a = row[enter]
+            if a > tol:
+                ratio = (row[-1] + tol) / a
+                if bound is None or ratio < bound:
+                    bound = ratio
+        if bound is None:
+            return None
+        leave, size = None, 0.0
+        for i, row in enumerate(body):
+            a = row[enter]
+            if a > tol and a > size and row[-1] / a <= bound:
+                leave, size = i, a
+        _float_pivot(table, leave, enter)
+        basic[leave], nonbasic[enter] = nonbasic[enter], basic[leave]
+    return None
+
+
+def _float_pivot(table, pr, pc):
+    """:func:`_pivot` on the float copy: the same exchange, in place."""
+    prow = table[pr]
+    p = prow[pc]
+    prow[pc] = 1.0
+    prow[:] = [a / p for a in prow]
+    for i, row in enumerate(table):
+        g = row[pc]
+        if i == pr or not g:
+            continue
+        row[pc] = 0.0
+        row[:] = [a - g * b for a, b in zip(row, prow)]
+
+
+def _cross(tableau, dens, basic, nonbasic, target):
+    """Pivot exactly from the current basis to the basis ``target``, a set
+    of variables; return whether it was reached.
+
+    Each variable of ``target`` that is nonbasic enters in turn, and the
+    basic variable outside ``target`` with the nonzero entry of least bit
+    length in its column (ties to the first row) leaves, so the pivot
+    entry may be negative.  If no such entry is nonzero (``target`` is
+    singular) or the basis reached is infeasible (a negative rhs), the
+    tableau and both variable lists are restored to their state on entry.
+    """
+    if target == set(basic):
+        return True
+    saved = [row[:] for row in tableau], dens[:], basic[:], nonbasic[:]
+    *body, _ = tableau
+    for j in range(len(nonbasic)):
+        if nonbasic[j] not in target:
+            continue
+        sizes = [
+            (abs(row[j]).bit_length(), i)
+            for i, row in enumerate(body)
+            if row[j] and basic[i] not in target
+        ]
+        if not sizes:
+            break
+        leave = min(sizes)[1]
+        _pivot(tableau, dens, leave, j)
+        basic[leave], nonbasic[j] = nonbasic[j], basic[leave]
+    else:
+        if all(row[-1] >= 0 for row in body):
+            return True
+    tableau[:], dens[:], basic[:], nonbasic[:] = saved
+    return False
+
+
 def solve_sweep(lp: LinearProgram, stages):
     """Yield the exact optimum of ``lp`` restricted to each stage in turn.
 
@@ -280,6 +403,9 @@ def solve_sweep(lp: LinearProgram, stages):
         new = [c for c in stage if c not in unlocked]
         _unlock(tableau, dens, basic, nonbasic, scaled, lp.objective, new)
         unlocked.update(stage)
+        target = _float_basis(tableau, dens, basic, nonbasic)
+        if target is not None:
+            _cross(tableau, dens, basic, nonbasic, target)
         if _simplex(tableau, dens, basic, nonbasic) == "unbounded":
             yield LpResult(status="unbounded")
             continue

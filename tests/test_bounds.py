@@ -113,6 +113,29 @@ def test_capability_distance_conversions():
         capability_range_from_distance(sp, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda sp: packing_bound(sp, 1.5),
+        lambda sp: covering_bound(sp, 1.5),
+        lambda sp: singleton_k_for_t(sp, 1.5),
+        lambda sp: singleton_bound(sp, 1.5),
+        lambda sp: lp_bound_detail(sp, 1.5),
+        lambda sp: lp_bound(sp, Fraction(3, 2)),
+        lambda sp: build_bound_table(sp, 0.5, 2),
+        lambda sp: build_bound_table(sp, 0, 2.5),
+        lambda sp: distance_required_for_capability(1.5),
+        lambda sp: capability_range_from_distance(sp, 2.5),
+        lambda sp: capability_range_from_distance(sp, "3"),
+    ),
+)
+def test_bounds_refuse_a_radius_that_is_not_an_integer(call):
+    # a fractional radius once read as a ball of the next integer radius
+    # in one bound and the one below in another (covering 1, packing 4)
+    with pytest.raises(ParameterError, match="integer"):
+        call(WeightedSpace(2, (3, 3), (1, 2)))
+
+
 def test_bound_table_shape_and_orderings():
     sp = WeightedSpace(2, (3, 3), (1, 2))
     table = build_bound_table(sp, 0, sp.max_weight)

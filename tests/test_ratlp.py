@@ -1,5 +1,8 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -34,10 +37,101 @@ def pivots(monkeypatch):
 @pytest.fixture(params=("steepest-edge", "overflow"))
 def entering(request, monkeypatch):
     """Solve with steepest edge, and with its overflow path, where every
-    entering column is the lowest improving variable (only entries beyond
-    a float reach that path, so small programs need a run of their own)."""
+    entering column, the float guide's too, is the lowest improving
+    variable (only entries beyond a float reach that path, so small
+    programs need a run of their own)."""
     if request.param == "overflow":
-        monkeypatch.setattr(ratlp, "_steepest_edge", lambda *args: None)
+
+        def lowest(body, dens, obj, candidates):
+            return min(candidates)[1]
+
+        monkeypatch.setattr(ratlp, "_steepest_edge", lowest)
+
+
+def _exchanged(basic, nonbasic, i, j):
+    """The basis ``basic`` with row i's variable swapped for column j's."""
+    target = set(basic)
+    target.remove(basic[i])
+    target.add(nonbasic[j])
+    return target
+
+
+def _feasible_not_optimal(tableau, dens, basic, nonbasic):
+    # one exact primal step from the current basis: the first improving
+    # column with a positive entry enters, the first minimum ratio leaves
+    *body, obj = tableau
+    for j in range(len(nonbasic)):
+        rows = [i for i, row in enumerate(body) if row[j] > 0]
+        if obj[j] < 0 and rows:
+            i = min(rows, key=lambda i: Fraction(body[i][-1], body[i][j]))
+            return _exchanged(basic, nonbasic, i, j)
+    return None
+
+
+def _infeasible(tableau, dens, basic, nonbasic):
+    # a negative entry over a positive rhs: that row's rhs turns negative
+    *body, _ = tableau
+    for i, row in enumerate(body):
+        for j in range(len(nonbasic)):
+            if row[j] < 0 < row[-1]:
+                return _exchanged(basic, nonbasic, i, j)
+    return None
+
+
+def _singular(tableau, dens, basic, nonbasic):
+    # the only row that may leave has a zero entry in the entering column
+    *body, _ = tableau
+    for i, row in enumerate(body):
+        for j in range(len(nonbasic)):
+            if not row[j]:
+                return _exchanged(basic, nonbasic, i, j)
+    return None
+
+
+@pytest.fixture(params=("float", "none", "misled"))
+def guide(request, monkeypatch):
+    """Start each stage's exact simplex from the float guide's basis, from
+    the basis it holds (no guide), or from a wrong basis: in turn one
+    that is feasible but not optimal, one that is infeasible and one
+    whose crossing meets a zero entry.  A misled run must both restore
+    a tableau and finish a crossed one by exact pivots."""
+    if request.param == "none":
+        monkeypatch.setattr(ratlp, "_float_basis", lambda *args: None)
+    if request.param != "misled":
+        yield
+        return
+    kinds = (_feasible_not_optimal, _infeasible, _singular)
+    seen = {"calls": 0, "reached": False, "restored": 0, "finished": 0}
+
+    def misled(*args):
+        seen["calls"] += 1
+        for n in range(len(kinds)):
+            target = kinds[(seen["calls"] + n) % len(kinds)](*args)
+            if target is not None:
+                return target
+        return None
+
+    cross, simplex = ratlp._cross, ratlp._simplex
+
+    def crossed(tableau, dens, basic, nonbasic, target):
+        reached = cross(tableau, dens, basic, nonbasic, target)
+        assert reached == (set(basic) == target)
+        seen["reached"] = reached
+        seen["restored"] += not reached
+        return reached
+
+    def finished(tableau, dens, basic, nonbasic):
+        start = basic[:]
+        status = simplex(tableau, dens, basic, nonbasic)
+        seen["finished"] += seen["reached"] and basic != start
+        seen["reached"] = False
+        return status
+
+    monkeypatch.setattr(ratlp, "_float_basis", misled)
+    monkeypatch.setattr(ratlp, "_cross", crossed)
+    monkeypatch.setattr(ratlp, "_simplex", finished)
+    yield
+    assert seen["restored"] and seen["finished"], seen
 
 
 def test_single_variable_box():
@@ -124,8 +218,14 @@ def _vertex_optimum(objective, le_rows):
     """Max of objective over {x >= 0, rows <= rhs} by enumerating vertices.
 
     The rows must include per-variable upper bounds so the region is
-    bounded; returns None when the region is empty.
+    bounded; returns None when the region is empty.  Each random suite
+    poses its programs once per solver mode, so optima are cached.
     """
+    return _cached_vertex_optimum(tuple(objective), tuple((tuple(r), b) for r, b in le_rows))
+
+
+@cache
+def _cached_vertex_optimum(objective, le_rows):
     nvars = len(objective)
     hyperplanes = [(row, rhs) for row, rhs in le_rows]
     for i in range(nvars):
@@ -153,7 +253,7 @@ def _vertex_optimum(objective, le_rows):
     return best
 
 
-def test_random_small_programs_match_vertex_enumeration(pivots, entering):
+def test_random_small_programs_match_vertex_enumeration(pivots, entering, guide):
     rng = random.Random(424242)
     for case in range(200):
         nvars = rng.choice((2, 3))
@@ -174,7 +274,7 @@ def test_random_small_programs_match_vertex_enumeration(pivots, entering):
     assert pivots
 
 
-def test_random_degenerate_programs_match_vertex_enumeration(pivots, entering):
+def test_random_degenerate_programs_match_vertex_enumeration(pivots, entering, guide):
     # most right-hand sides 0: the origin is a vertex of many tight rows,
     # so ratio ties and zero steps are the rule, not the exception
     rng = random.Random(90210)
@@ -262,6 +362,7 @@ def test_beale_cycling_example_under_dantzigs_rule(monkeypatch):
         return min(candidates, key=lambda vj: (obj[vj[1]] * scale.get(vj[0], 1), vj[0]))[1]
 
     monkeypatch.setattr(ratlp, "_steepest_edge", dantzig)
+    monkeypatch.setattr(ratlp, "_float_basis", lambda *args: None)  # start at the origin
     res = solve_max(_BEALE)
     assert res.value == 5
     assert res.solution == [1, 0, 1, 0]
@@ -297,7 +398,7 @@ def _restricted(lp, stage):
     )
 
 
-def test_sweep_stages_match_cold_solves(pivots, entering):
+def test_sweep_stages_match_cold_solves(pivots, entering, guide):
     rng = random.Random(717171)
     for case in range(150):
         nvars = rng.randint(2, 7)
@@ -364,6 +465,76 @@ def test_sweep_cannot_lock_a_column():
         list(solve_sweep(lp, [[0, 0]]))
 
 
+# -- the float guide: floats choose the basis, exact pivots reach it ----------
+
+
+def _origin(lp):
+    """The tableau of ``lp`` at the origin, every column unlocked: the
+    input rows over 1, with the negated objective as the last row."""
+    nvars, nrows = len(lp.objective), len(lp.rows)
+    tableau = [coeffs + [rhs] for coeffs, rhs in lp.rows]
+    tableau.append([-c for c in lp.objective] + [0])
+    return tableau, [1] * (nrows + 1), list(range(nvars, nvars + nrows)), list(range(nvars))
+
+
+def _values(tableau, dens, basic, nonbasic):
+    """The tableau as rationals, keyed by basic and nonbasic variable."""
+    keys = basic + ["objective"]
+    return {
+        key: {**{v: Fraction(a, d) for v, a in zip(nonbasic, row)}, "rhs": Fraction(row[-1], d)}
+        for key, row, d in zip(keys, tableau, dens)
+    }
+
+
+def test_crossing_reaches_the_tableau_of_its_target_basis(pivots, monkeypatch):
+    # a basis has one tableau, so crossing from the origin to the basis
+    # where the simplex stops must reach the simplex's own tableau
+    entries = []
+    pivot = ratlp._pivot
+
+    def signed(tableau, dens, pr, pc):
+        entries.append(tableau[pr][pc])
+        pivot(tableau, dens, pr, pc)
+
+    monkeypatch.setattr(ratlp, "_pivot", signed)
+    rng = random.Random(31337)
+    for case in range(60):
+        nvars = rng.randint(2, 5)
+        rows = [([rng.randint(-6, 6) for _ in range(nvars)], rng.randint(0, 9)) for _ in range(4)]
+        rows.append(([rng.randint(1, 3) for _ in range(nvars)], rng.randint(1, 20)))
+        lp = LinearProgram(objective=[rng.randint(-2, 6) for _ in range(nvars)], rows=rows)
+        solved = _origin(lp)
+        assert ratlp._simplex(*solved) == "optimal"
+        crossed = _origin(lp)
+        assert ratlp._cross(*crossed, set(solved[2]))
+        assert _values(*crossed) == _values(*solved), f"case {case}"
+    assert any(p < 0 for p in entries), "no crossing pivot had a negative entry"
+
+
+@pytest.mark.parametrize(
+    "target",
+    ({1, 2}, {0, 3}),  # x1 replaces slack 3 on a zero entry; x0 slack 2 on -1
+    ids=("singular", "infeasible"),
+)
+def test_crossing_restores_the_tableau_it_cannot_reach(target):
+    lp = LinearProgram(objective=[1, 1], rows=[([-1, 1], 2), ([1, 0], 3)])
+    start = _origin(lp)
+    before = _values(*start)
+    assert not ratlp._cross(*start, target)
+    assert _values(*start) == before
+    assert start[2:] == ([2, 3], [0, 1])
+
+
+def test_float_guide_sums_in_a_fixed_order():
+    # Python 3.12 made sum() of floats compensated, and math.fsum is
+    # exact: either would let interpreters reach different bases
+    for fn in (ratlp._float_basis, ratlp._float_pivot, ratlp._steepest_edge):
+        tree = ast.parse(inspect.getsource(fn))
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        names = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
+        assert not names & {"sum", "fsum"}, fn.__name__
+
+
 # -- the tableau in lowest terms on the bound LPs ------------------------------
 
 
@@ -372,21 +543,55 @@ def test_bound_sweep_keeps_rows_in_lowest_terms(pivots):
     assert len(pivots) > 10
 
 
+@pytest.fixture
+def path(pivots, monkeypatch):
+    """Split a solve's pivots into float pivots, exact crossing pivots and
+    exact finishing pivots (those of :func:`ratlp._simplex`), and count
+    the crossings that restored their tableau."""
+    counts = {"float": 0, "crossing": 0, "finishing": 0, "restores": 0}
+    float_pivot, cross, simplex = ratlp._float_pivot, ratlp._cross, ratlp._simplex
+
+    def counted_float_pivot(*args):
+        counts["float"] += 1
+        float_pivot(*args)
+
+    def counted_cross(*args):
+        before = len(pivots)
+        reached = cross(*args)
+        counts["crossing"] += len(pivots) - before
+        counts["restores"] += not reached
+        return reached
+
+    def counted_simplex(*args):
+        before = len(pivots)
+        status = simplex(*args)
+        counts["finishing"] += len(pivots) - before
+        return status
+
+    monkeypatch.setattr(ratlp, "_float_pivot", counted_float_pivot)
+    monkeypatch.setattr(ratlp, "_cross", counted_cross)
+    monkeypatch.setattr(ratlp, "_simplex", counted_simplex)
+    return counts
+
+
 @pytest.mark.parametrize(
-    "solve, count",
+    "solve, count, floats",
     (
-        (lambda: build_bound_table(WeightedSpace(2, (7, 7), (1, 2)), 0, 10), 282),
-        (lambda: build_bound_table(WeightedSpace(7, (7, 7), (1, 2)), 0, 10), 90),
-        (lambda: build_bound_table(WeightedSpace(2, (7, 7, 7), (1, 2, 3)), 13, 16), 34),
-        (lambda: lp_bound_detail(WeightedSpace(2, (7, 7), (1, 2)), 3), 58),
-        (lambda: lp_bound_detail(WeightedSpace(7, (7, 7), (1, 2)), 1), 106),
+        (lambda: build_bound_table(WeightedSpace(2, (7, 7), (1, 2)), 0, 10), 116, 231),
+        (lambda: build_bound_table(WeightedSpace(7, (7, 7), (1, 2)), 0, 10), 71, 94),
+        (lambda: build_bound_table(WeightedSpace(2, (7, 7, 7), (1, 2, 3)), 13, 16), 28, 39),
+        (lambda: lp_bound_detail(WeightedSpace(2, (7, 7), (1, 2)), 3), 35, 52),
+        (lambda: lp_bound_detail(WeightedSpace(7, (7, 7), (1, 2)), 1), 60, 88),
         # long runs of degenerate pivots on a three-block space
-        (lambda: lp_bound_detail(WeightedSpace(3, (4, 4, 4), (1, 2, 3)), 1), 214),
+        (lambda: lp_bound_detail(WeightedSpace(3, (4, 4, 4), (1, 2, 3)), 1), 120, 208),
     ),
     ids=("q2", "q7", "three-blocks-q2", "cold-q2-t3", "cold-q7-t1", "stall-q3-t1"),
 )
-def test_bound_table_pivot_path(pivots, solve, count):
-    # Steepest edge ranks columns by float norms; the exact counts pin
-    # that ranking, so a platform that rounded differently would fail here
+def test_bound_table_pivot_path(pivots, path, solve, count, floats):
+    # The float guide and steepest edge both rank by floats; the exact
+    # counts pin every float comparison, so a platform that rounded
+    # differently would fail here.  Every exact pivot is a crossing one:
+    # each float basis is exactly optimal, so no stage restores or finishes
     solve()
     assert len(pivots) == count
+    assert path == {"float": floats, "crossing": count, "finishing": 0, "restores": 0}
