@@ -38,7 +38,11 @@ is one integer sum read back lane by lane mod q; extension fields, and
 prime fields whose lane sums pass 8 bytes, take :func:`_combine`.  The
 products check no symbol, so every public entry that reaches one
 refuses a word with a symbol outside the field first
-(:meth:`~whmetric.field.Field.validate_all`).
+(:meth:`~whmetric.field.Field.validate_all`).  The decoder entries
+(``bmd_decode``, ``erasure_decode`` and the chain's quotient maps) take
+a keyword-only ``_checked``, default False, with which
+:func:`whmetric.decode.gcc_decode` skips their checks on the words it
+made itself from the one received word it checked.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ class _Product:
     (one-byte lanes by one ``bytes.translate`` through a table of the 256
     residues).  Any other field calls :func:`_combine`.  No symbol is
     checked here: an entry of y outside the field would spill into the
-    next lane, so the public callers validate their words once per call.
+    next lane, so every word is validated once, where it enters the library.
     """
 
     __slots__ = ("field", "rows", "length", "_packed", "_size", "_format", "_residues")
@@ -396,16 +400,21 @@ class PolyalphabeticCode:
         the default limits."""
         return self.min_block_distance() if self._distance is None else self._distance
 
-    def erasure_decode(self, r, erased):
+    def erasure_decode(self, r, erased, *, _checked=False):
         """Errors-and-erasures decoding over symbols: the unique codeword
         agreeing with r outside the ``erased`` symbols whenever 2e + s < d,
-        else FAIL."""
-        self._check_word(r)
-        erased = set(erased)
-        if not all(isinstance(p, int) for p in erased):
-            raise ParameterError(f"erased symbol positions must be integers, got {erased}")
-        if erased and (min(erased) < 0 or max(erased) >= self.n_symbols):
-            raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
+        else FAIL.
+
+        ``r`` is checked for its length and symbols, and ``erased`` for
+        integer positions in range, unless ``_checked`` says the caller
+        made both itself: an in-field tuple r and distinct positions."""
+        if not _checked:
+            self._check_word(r)
+            erased = set(erased)
+            if not all(isinstance(p, int) for p in erased):
+                raise ParameterError(f"erased symbol positions must be integers, got {erased}")
+            if erased and (min(erased) < 0 or max(erased) >= self.n_symbols):
+                raise ParameterError(f"erased symbol positions {sorted(erased)} out of range")
         return _erasures_core(self, erased, self._decoding_distance(), r)
 
 
@@ -472,14 +481,16 @@ class LinearCode(PolyalphabeticCode):
                 table[s] = e
         return table
 
-    def bmd_decode(self, r):
+    def bmd_decode(self, r, *, _checked=False):
         """Unique codeword within (d-1)//2 of r, else FAIL (None).
 
         The syndrome table, built on the first call when q^(n-k) is at
         most ``SYNDROME_TABLE_LIMIT``, fixes the radius, so a later call
         goes from the symbol check straight to the lookup; a larger code
-        scans its codewords."""
-        self._check_word(r)
+        scans its codewords.  ``_checked`` skips the check of r's length
+        and symbols, for a caller that made r itself from checked words."""
+        if not _checked:
+            self._check_word(r)
         table = self._syndrome_table
         if table is None:
             d = self._decoding_distance()
@@ -637,7 +648,7 @@ def _nearest_by_scan(code, kept, s, distance, received):
 def _erasures_core(code, erased, distance, received):
     """Errors-and-erasures decoding of ``received`` over ``code``'s symbols.
 
-    ``erased`` is a set of symbol indices into ``code._offsets``; s of
+    ``erased`` holds distinct symbol indices into ``code._offsets``; s of
     them leave a budget of e = (d - 1 - s) // 2 errors on the kept
     symbols.  The kept spans and coordinates are listed once per erased
     set, in ``code._kept``.  The kept coordinates' :class:`_KeptSet` is
@@ -737,23 +748,39 @@ class NestedChain:
         dims = "/".join(str(c.k) for c in self.codes)
         return f"NestedChain(n={self.n}, dims={dims})"
 
-    def quotient_encode(self, level, message):
-        """Fixed coset representative of the level's quotient for ``message``."""
-        width = self.widths[level]
-        if len(message) != width:
-            raise ParameterError(
-                f"level {level + 1} message length {len(message)} != width {width}"
-            )
-        self.field.validate_all(message)
+    def _check_level(self, level):
+        if not isinstance(level, int) or not 0 <= level < self.s:
+            raise ParameterError(f"chain level index {level!r} is not in range({self.s})")
+
+    def quotient_encode(self, level, message, *, _checked=False):
+        """Fixed coset representative of the level's quotient for ``message``.
+
+        ``level`` is a 0-based index and ``message`` has the level's
+        width; both, and the message's symbols, are checked unless
+        ``_checked`` says the caller made them from checked words."""
+        if not _checked:
+            self._check_level(level)
+            width = self.widths[level]
+            if len(message) != width:
+                raise ParameterError(
+                    f"level {level + 1} message length {len(message)} != width {width}"
+                )
+            self.field.validate_all(message)
         # a message of the level's width combines the leading rows: the quotient rows
         return self._solvers[level][2](message)
 
-    def quotient_message(self, level, b):
+    def quotient_message(self, level, b, *, _checked=False):
         """Recover the level message from any b in B_level; inverse of
-        quotient_encode modulo the next subcode."""
-        if len(b) != self.n:
-            raise ParameterError(f"vector length {len(b)} != block length {self.n}")
-        self.field.validate_all(b)
+        quotient_encode modulo the next subcode.
+
+        ``level`` and b's length and symbols are checked unless
+        ``_checked`` says the caller made them from checked words.  The
+        re-encoding that refuses a b outside B_level always runs."""
+        if not _checked:
+            self._check_level(level)
+            if len(b) != self.n:
+                raise ParameterError(f"vector length {len(b)} != block length {self.n}")
+            self.field.validate_all(b)
         info, solve, encode = self._solvers[level]
         y = solve([b[c] for c in info])
         if encode(y) != tuple(b):

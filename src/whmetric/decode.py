@@ -32,21 +32,25 @@ from .errors import ParameterError
 _NEVER_ERASED = float("inf")
 
 
-def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities):
+def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities, *, _checked=False):
     """Generalized minimum distance decoding of one outer word.
 
-    ``symbols`` holds one tuple per position, ``reliabilities`` one
-    non-negative integer per position.  Returns a flat codeword or FAIL.
+    ``symbols`` holds one sequence per position, of that symbol's width,
+    and ``reliabilities`` one non-negative integer per position.  Returns
+    a flat codeword or FAIL.  The counts, widths, reliabilities and
+    symbols are checked unless ``_checked`` says the caller made them
+    itself; the flag is passed on to every erasure trial.
     """
     m = outer.n_symbols
-    if len(symbols) != m or len(reliabilities) != m:
-        raise ParameterError(f"need one symbol and one reliability per position ({m})")
-    if tuple(map(len, symbols)) != outer.sizes:
-        raise ParameterError("symbol widths do not match the outer code")
-    if min(reliabilities) < 0:
-        raise ParameterError("reliabilities must be non-negative")
     received = tuple([x for sym in symbols for x in sym])
-    outer.field.validate_all(received)
+    if not _checked:
+        if len(symbols) != m or len(reliabilities) != m:
+            raise ParameterError(f"need one symbol and one reliability per position ({m})")
+        if tuple(map(len, symbols)) != outer.sizes:
+            raise ParameterError("symbol widths do not match the outer code")
+        if not all(isinstance(a, int) and a >= 0 for a in reliabilities):
+            raise ParameterError("reliabilities must be non-negative integers")
+        outer.field.validate_all(received)
     d = outer._decoding_distance()
     # zero-width symbols carry no information and are never erased
     rank = sorted(
@@ -56,14 +60,15 @@ def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities):
     candidates = []
     for erasures in range(min(d, m + 1)):
         erased = rank[:erasures]
-        cand = outer.erasure_decode(received, erased)
+        cand = outer.erasure_decode(received, erased, _checked=_checked)
         if cand is not FAIL and cand not in candidates:
             candidates.append(cand)
     if len(candidates) < 2:
         return candidates[0] if candidates else FAIL
+    received_symbols = outer.symbols(received)
 
     def correlation(cand):
-        pairs = zip(reliabilities, outer.symbols(cand), symbols)
+        pairs = zip(reliabilities, outer.symbols(cand), received_symbols)
         return sum([a if got == sym else -a for a, got, sym in pairs])
 
     return max(candidates, key=correlation)  # ties go to the earliest candidate
@@ -104,7 +109,13 @@ class DecodeReport:
 
 def gcc_decode(gcc: GccCode, received) -> DecodeReport:
     """Successive-cancellation decoding of a noisy word; never raises on
-    decoding failure, which is reported in the status instead."""
+    decoding failure, which is reported in the status instead.
+
+    The received word is the only input from outside: its length and
+    symbols are checked here, once.  Every word the loop hands on (a
+    residual block, an inner decision, an outer word, its symbols) is
+    made from it by field-table arithmetic and the codes' own products,
+    so the inner entries are called with ``_checked=True``."""
     if len(received) != gcc.n:
         raise ParameterError(f"received word has length {len(received)}, code has {gcc.n}")
     field = gcc.field
@@ -124,18 +135,18 @@ def gcc_decode(gcc: GccCode, received) -> DecodeReport:
             lo, hi = ranges[l]
             block = residual[lo:hi]
             inner = chain.codes[j]
-            word = inner.bmd_decode(block)
+            word = inner.bmd_decode(block, _checked=True)
             inner_words.append(word)
             if word is FAIL:
                 syms.append((0,) * chain.widths[j])
                 alphas.append(0)
             else:
-                syms.append(chain.quotient_message(j, word))
+                syms.append(chain.quotient_message(j, word, _checked=True))
                 alpha = space.scales[l] * max(
                     0, gcc.inner_distances[j][l] - 2 * hamming_distance(block, word)
                 )
                 alphas.append(alpha)
-        outer_word = gmd_decode(outer, syms, alphas)
+        outer_word = gmd_decode(outer, syms, alphas, _checked=True)
         if outer_word is FAIL:
             if status == "ok":
                 status = f"outer-failure-at-level-{j + 1}"
@@ -144,7 +155,7 @@ def gcc_decode(gcc: GccCode, received) -> DecodeReport:
         symbols = outer.symbols(outer_word)
         cancel = []
         for l, chain in enumerate(gcc.chains):
-            cancel.extend(chain.quotient_encode(j, symbols[l]))
+            cancel.extend(chain.quotient_encode(j, symbols[l], _checked=True))
         cancel = tuple(cancel)
         estimate = vec_add(field, estimate, cancel)
         residual = vec_sub(field, residual, cancel)

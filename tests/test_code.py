@@ -300,6 +300,16 @@ def test_chain_round_trip_exhaustive():
         assert chain.quotient_message(1, chain.quotient_encode(1, a)) == a
 
 
+@pytest.mark.parametrize("level", [-1, 2, 1.0, None])
+def test_chain_quotient_maps_refuse_a_level_out_of_range(level):
+    chain = NestedChain([named_code("full", F2, 3, 3), named_code("repetition", F2, 3, 1)])
+    assert chain.s == 2
+    with pytest.raises(ParameterError):
+        chain.quotient_encode(level, (1,))
+    with pytest.raises(ParameterError):
+        chain.quotient_message(level, (1, 1, 1))
+
+
 def test_chain_two_levels_from_explicit_codes():
     b1 = LinearCode(F2, [(1, 1, 1, 1, 1, 1), (1, 1, 1, 0, 0, 0)])
     b2 = LinearCode(F2, [(1, 1, 1, 1, 1, 1)])

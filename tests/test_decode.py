@@ -87,6 +87,30 @@ def test_gmd_validates_inputs():
         gmd_decode(outer, symbols[:2] + ((0, 0, 0, 0),), [1, 1, 1])
 
 
+@pytest.mark.parametrize("bad", ["1", 1.0, float("nan"), None])
+def test_gmd_refuses_a_reliability_that_is_not_a_non_negative_integer(bad):
+    outer = mixed_code_from_parity_mother(2)
+    symbols = outer.symbols(outer.encode((1, 0, 0)))
+    with pytest.raises(ParameterError):
+        gmd_decode(outer, symbols, [1, bad, 1])
+
+
+def test_gmd_ranks_symbols_given_as_lists_as_it_ranks_tuples():
+    # rs4's first outer code: [4, 2] Reed-Solomon over GF(8) as 3-bit symbols
+    cfg = cli.parse_config(os.path.join(PERFBENCH_CONFIGS, "rs4.cfg"))
+    outer = cli.build_gcc_from_config(cfg).outers[0]
+    q = outer.field.order
+    rng = random.Random(25)
+    for _ in range(300):
+        word = outer.encode([rng.randrange(q) for _ in range(outer.k)])
+        symbols = list(outer.symbols(word))
+        for l in rng.sample(range(outer.n_symbols), 2):
+            symbols[l] = tuple(rng.randrange(q) for _ in symbols[l])
+        alphas = [rng.randrange(8) for _ in symbols]
+        expected = gmd_decode(outer, symbols, alphas)
+        assert gmd_decode(outer, [list(sym) for sym in symbols], alphas) == expected
+
+
 def test_clean_word_decodes_with_maximal_reliabilities():
     space, gcc = two_block_code()
     word = gcc.encode(gcc.split_message((1, 0, 1, 1)))
