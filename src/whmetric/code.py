@@ -14,22 +14,25 @@ counts it and :mod:`.linalg` does the elimination.
 
 The decoders solve only linear systems whose matrix is fixed by the
 code: a chain level's basis, or a generator restricted to the
-coordinates an erasure trial keeps.  :func:`.linalg._left_inverse` row-reduces
-each such matrix once into an information set and the inverse of the
-matrix on it.  A chain builds one solver per level when it is
-constructed, and a per-word solve is two vector-matrix products with a
-re-encoding that checks the solution.  A code builds a
-:class:`_KeptSet` for a kept-coordinate set on its first erasure trial
-with that set and keeps it: at most sum_{s<d} C(m, s) for m symbols
-and distance d.  It stores the product of the inverse and the
-generator, so re-encoding a word from its information set is one
-product, and the word's difference from that re-encoding is its
+coordinates an erasure trial keeps.  :func:`.linalg._left_inverse`
+row-reduces each such matrix once into an information set and the
+inverse of the matrix on it.  A chain builds one solver per level when
+it is constructed: the rows [M | M . R], for M that inverse and R the
+level's basis, so a per-word solve is one vector-matrix product that
+gives the solution followed by the re-encoding that checks it.  A code
+builds a :class:`_KeptSet` for a kept-coordinate set on its first
+erasure trial with that set and keeps it: at most sum_{s<d} C(m, s)
+for m symbols and distance d.  It stores the product of the inverse
+and the generator, so re-encoding a word from its information set is
+one product, and the word's difference from that re-encoding is its
 syndrome.  A trial that allows e >= 1 errors looks the syndrome up in
 the set's table of error patterns, built on the first such trial,
 instead of scanning the codewords; only a set whose patterns would
-outnumber the codewords keeps the scan.
+outnumber the codewords keeps the scan.  The whole space (k = n)
+holds every word, so its ``bmd_decode`` returns the word it is given,
+with no syndrome.
 
-Every product by a fixed matrix (a chain level's inverse and basis, a
+Every product by a fixed matrix (a chain level's solver and basis, a
 kept set's rows, a generator, the transposed parity rows behind
 :meth:`LinearCode.syndrome`) is a :class:`_Product` built once with its
 matrix.  Over a prime field it packs each row into one integer with a
@@ -484,13 +487,17 @@ class LinearCode(PolyalphabeticCode):
     def bmd_decode(self, r, *, _checked=False):
         """Unique codeword within (d-1)//2 of r, else FAIL (None).
 
-        The syndrome table, built on the first call when q^(n-k) is at
-        most ``SYNDROME_TABLE_LIMIT``, fixes the radius, so a later call
-        goes from the symbol check straight to the lookup; a larger code
-        scans its codewords.  ``_checked`` skips the check of r's length
-        and symbols, for a caller that made r itself from checked words."""
+        The whole space (k = n) holds r itself, so r is returned with no
+        syndrome.  Otherwise the syndrome table, built on the first call
+        when q^(n-k) is at most ``SYNDROME_TABLE_LIMIT``, fixes the
+        radius, so a later call goes from the symbol check straight to
+        the lookup; a larger code scans its codewords.  ``_checked``
+        skips the check of r's length and symbols, for a caller that
+        made r itself from checked words."""
         if not _checked:
             self._check_word(r)
+        if self.k == self.n:
+            return tuple(r)
         table = self._syndrome_table
         if table is None:
             d = self._decoding_distance()
@@ -733,15 +740,17 @@ class NestedChain:
         self.quotient_rows = tuple(quotient)
         self.sub_basis = tuple(sub_basis)
         self.widths = tuple(len(q) for q in quotient)
-        # per level, the solver of y . (quotient rows + sub basis) = b: an
-        # information set, the product by the inverse on it, and the
-        # product by the rows, whose leading rows are the quotient rows;
-        # the rows are a basis of the level's code, so each has full rank
+        # per level, the solver of y . R = b for the rows R (quotient rows
+        # + sub basis), a basis of the level's code and so of full rank:
+        # an information set, the product by [M | M . R] for M the
+        # inverse of R on it, which maps b[info] to y followed by y . R,
+        # and the product by R, whose leading rows are the quotient rows
         solvers = []
         for top, sub in zip(quotient, sub_basis):
+            encode = _Product(field, top + sub, n)
             info, inverse = _left_inverse(field, top + sub, range(n))
-            solve = _Product(field, inverse, len(inverse))
-            solvers.append((info, solve, _Product(field, top + sub, n)))
+            solve = _Product(field, [tuple(m) + encode(m) for m in inverse], len(inverse) + n)
+            solvers.append((info, solve, encode))
         self._solvers = tuple(solvers)
 
     def __repr__(self):
@@ -781,11 +790,11 @@ class NestedChain:
             if len(b) != self.n:
                 raise ParameterError(f"vector length {len(b)} != block length {self.n}")
             self.field.validate_all(b)
-        info, solve, encode = self._solvers[level]
-        y = solve([b[c] for c in info])
-        if encode(y) != tuple(b):
+        info, solve, _ = self._solvers[level]
+        solution = solve([b[c] for c in info])
+        if solution[len(info) :] != tuple(b):
             raise ParameterError(f"vector is not in chain level {level + 1}")
-        return y[: self.widths[level]]
+        return solution[: self.widths[level]]
 
 
 # -- code families and matrix files ----------------------------------------

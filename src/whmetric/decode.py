@@ -11,7 +11,9 @@ minimum distance (GMD) decoder: erasure trials over every erasure count
 below the outer distance, candidates ranked by correlation between their
 symbols and the received symbols weighted by the reliabilities.  The
 winning outer codeword is re-encoded through the chain quotients and
-cancelled from the residual before the next level.
+cancelled from the residual before the next level.  A whole-space code
+(k = n) holds every word: as an inner code it returns its block, and
+as an outer code it returns the received symbols with no GMD trial.
 
 If the reliability mass on the correctly decoded blocks needed to reach
 the outer distance exceeds the mass on the wrongly decoded ones, the
@@ -39,18 +41,29 @@ def gmd_decode(outer: PolyalphabeticCode, symbols, reliabilities, *, _checked=Fa
     and ``reliabilities`` one non-negative integer per position.  Returns
     a flat codeword or FAIL.  The counts, widths, reliabilities and
     symbols are checked unless ``_checked`` says the caller made them
-    itself; the flag is passed on to every erasure trial.
+    itself; the flag is passed on to every erasure trial.  The whole
+    space (k = n) holds every word, so it returns the received word
+    with no trial.
     """
     m = outer.n_symbols
-    received = tuple([x for sym in symbols for x in sym])
-    if not _checked:
-        if len(symbols) != m or len(reliabilities) != m:
+    if _checked:
+        received = tuple([x for sym in symbols for x in sym])
+    else:
+        try:
+            counts = len(symbols), len(reliabilities)
+            widths = tuple(map(len, symbols))
+            received = tuple([x for sym in symbols for x in sym])
+        except TypeError:
+            raise ParameterError("symbols and reliabilities must be sequences") from None
+        if counts != (m, m):
             raise ParameterError(f"need one symbol and one reliability per position ({m})")
-        if tuple(map(len, symbols)) != outer.sizes:
+        if widths != outer.sizes:
             raise ParameterError("symbol widths do not match the outer code")
         if not all(isinstance(a, int) and a >= 0 for a in reliabilities):
             raise ParameterError("reliabilities must be non-negative integers")
         outer.field.validate_all(received)
+    if outer.k == outer.n:
+        return received
     d = outer._decoding_distance()
     # zero-width symbols carry no information and are never erased
     rank = sorted(
@@ -115,49 +128,53 @@ def gcc_decode(gcc: GccCode, received) -> DecodeReport:
     symbols are checked here, once.  Every word the loop hands on (a
     residual block, an inner decision, an outer word, its symbols) is
     made from it by field-table arithmetic and the codes' own products,
-    so the inner entries are called with ``_checked=True``."""
-    if len(received) != gcc.n:
-        raise ParameterError(f"received word has length {len(received)}, code has {gcc.n}")
+    so the inner entries are called with ``_checked=True``.  The first
+    decoded level's cancellation is the estimate itself, and the last
+    level leaves the residual as it is, since nothing reads it."""
+    try:
+        length = len(received)
+    except TypeError:
+        raise ParameterError("the received word must be a sequence of field elements") from None
+    if length != gcc.n:
+        raise ParameterError(f"received word has length {length}, code has {gcc.n}")
     field = gcc.field
     field.validate_all(received)
-    space = gcc.space
-    ranges = space.block_ranges()
+    chains = gcc.chains
+    ranges = gcc.space.block_ranges()
+    scales = gcc.space.scales
+    last = gcc.levels - 1
     residual = tuple(received)
-    estimate = (0,) * gcc.n
+    estimate = None
     levels = []
     status = "ok"
-    for j in range(gcc.levels):
-        outer = gcc.outers[j]
+    for j, outer in enumerate(gcc.outers):
         inner_words = []
         syms = []
         alphas = []
-        for l, chain in enumerate(gcc.chains):
-            lo, hi = ranges[l]
+        blocks = zip(ranges, chains, scales, gcc.inner_distances[j])
+        for (lo, hi), chain, scale, distance in blocks:
             block = residual[lo:hi]
-            inner = chain.codes[j]
-            word = inner.bmd_decode(block, _checked=True)
+            word = chain.codes[j].bmd_decode(block, _checked=True)
             inner_words.append(word)
             if word is FAIL:
                 syms.append((0,) * chain.widths[j])
                 alphas.append(0)
             else:
                 syms.append(chain.quotient_message(j, word, _checked=True))
-                alpha = space.scales[l] * max(
-                    0, gcc.inner_distances[j][l] - 2 * hamming_distance(block, word)
-                )
-                alphas.append(alpha)
+                alphas.append(scale * max(0, distance - 2 * hamming_distance(block, word)))
         outer_word = gmd_decode(outer, syms, alphas, _checked=True)
+        levels.append(LevelRecord(inner_words, alphas, outer_word))
         if outer_word is FAIL:
             if status == "ok":
                 status = f"outer-failure-at-level-{j + 1}"
-            levels.append(LevelRecord(inner_words, alphas, None))
             continue
-        symbols = outer.symbols(outer_word)
         cancel = []
-        for l, chain in enumerate(gcc.chains):
-            cancel.extend(chain.quotient_encode(j, symbols[l], _checked=True))
+        for chain, symbol in zip(chains, outer.symbols(outer_word)):
+            cancel.extend(chain.quotient_encode(j, symbol, _checked=True))
         cancel = tuple(cancel)
-        estimate = vec_add(field, estimate, cancel)
-        residual = vec_sub(field, residual, cancel)
-        levels.append(LevelRecord(inner_words, alphas, outer_word))
+        estimate = cancel if estimate is None else vec_add(field, estimate, cancel)
+        if j < last:
+            residual = vec_sub(field, residual, cancel)
+    if estimate is None:
+        estimate = (0,) * gcc.n
     return DecodeReport(codeword=estimate, levels=levels, status=status)

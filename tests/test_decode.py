@@ -95,6 +95,24 @@ def test_gmd_refuses_a_reliability_that_is_not_a_non_negative_integer(bad):
         gmd_decode(outer, symbols, [1, bad, 1])
 
 
+
+@pytest.mark.parametrize(
+    "symbols, reliabilities",
+    [([1, 2, 3], [1, 1, 1]), (5, [1, 1, 1]), (((0,), (0, 0), (0, 0, 0)), 5)],
+)
+def test_gmd_refuses_arguments_that_are_not_sequences(symbols, reliabilities):
+    outer = mixed_code_from_parity_mother(2)
+    with pytest.raises(ParameterError, match="must be sequences"):
+        gmd_decode(outer, symbols, reliabilities)
+
+
+@pytest.mark.parametrize("received", [5, None, 1.5])
+def test_gcc_decode_refuses_a_received_word_that_is_not_a_sequence(received):
+    space, gcc = hamming_concatenation()
+    with pytest.raises(ParameterError, match="must be a sequence"):
+        gcc_decode(gcc, received)
+
+
 def test_gmd_ranks_symbols_given_as_lists_as_it_ranks_tuples():
     # rs4's first outer code: [4, 2] Reed-Solomon over GF(8) as 3-bit symbols
     cfg = cli.parse_config(os.path.join(PERFBENCH_CONFIGS, "rs4.cfg"))

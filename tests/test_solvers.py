@@ -30,7 +30,7 @@ from whmetric.code import (
     vec_add,
 )
 from whmetric.construct import outer_code
-from whmetric.decode import gcc_decode
+from whmetric.decode import gcc_decode, gmd_decode
 from whmetric.errors import ParameterError
 from whmetric.field import Field, make_extension_field
 
@@ -345,13 +345,89 @@ def test_quotient_message_inverts_quotient_encode(chain, data):
             sub = chain.codes[level + 1]
             b = vec_add(field, b, sub.encode(draw_vector(sub.k)))
         assert chain.quotient_message(level, b) == message
-        # the solver is built; a vector outside the level still raises
+        # the solver is built; a vector outside the level still raises,
+        # also when the caller vouches for its symbols
         code = chain.codes[level]
         for i in range(n):
             outside = vec_add(field, b, tuple(int(j == i) for j in range(n)))
             if not code.contains(outside):
-                with pytest.raises(ParameterError, match=f"not in chain level {level + 1}"):
-                    chain.quotient_message(level, outside)
+                for checked in (False, True):
+                    with pytest.raises(ParameterError, match=f"not in chain level {level + 1}"):
+                        chain.quotient_message(level, outside, _checked=checked)
+
+
+def _two_product_message(chain, level, b):
+    """The level message of b by a solve and a separate re-encoding: y =
+    b[info] . M for M the inverse of the level's rows R on an information
+    set, then y . R checked against b; None when b is outside the level."""
+    field, n = chain.field, chain.n
+    rows = chain.quotient_rows[level] + chain.sub_basis[level]
+    info, inverse = linalg._left_inverse(field, rows, range(n))
+    y = code_module._Product(field, inverse, len(inverse))([b[c] for c in info])
+    if code_module._Product(field, rows, n)(y) != b:
+        return None
+    return y[: chain.widths[level]]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(chains(), st.data())
+def test_fused_quotient_message_matches_the_two_product_solve(chain, data):
+    field, n = chain.field, chain.n
+    for level in range(chain.s):
+        code = chain.codes[level]
+        message = [data.draw(st.integers(0, field.order - 1)) for _ in range(code.k)]
+        for b in (code.encode(message), _word(data.draw, field, n)):
+            expected = _two_product_message(chain, level, b)
+            for checked in (False, True):
+                if expected is None:
+                    with pytest.raises(ParameterError, match=f"not in chain level {level + 1}"):
+                        chain.quotient_message(level, b, _checked=checked)
+                else:
+                    assert chain.quotient_message(level, b, _checked=checked) == expected
+
+
+@st.composite
+def whole_spaces(draw, polyalphabetic=True):
+    """A k = n code over F2, F3 or GF(4) with a random square generator:
+    linear, or (when ``polyalphabetic``) possibly polyalphabetic with up
+    to two zero-width symbols among its symbols; and a received word."""
+    field = draw(st.sampled_from((F2, F3, F4)))
+    n = draw(st.integers(1, 5))
+    rows = _full_rank_rows(draw, field, n, n)
+    if not polyalphabetic or draw(st.booleans()):
+        return LinearCode(field, rows), _word(draw, field, n)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    for _ in range(draw(st.integers(0, 2))):
+        sizes.insert(draw(st.integers(0, len(sizes))), 0)
+    return PolyalphabeticCode(field, sizes, rows), _word(draw, field, n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(whole_spaces(), st.data())
+def test_gmd_on_the_whole_space_returns_the_erasure_free_trial(case, data):
+    outer, received = case
+    alphas = [data.draw(st.integers(0, 9)) for _ in outer.sizes]
+    expected = outer.erasure_decode(received, [])
+    assert expected == received
+    symbols = outer.symbols(received)
+    for given_symbols in (symbols, [list(sym) for sym in symbols]):
+        for checked in (False, True):
+            result = gmd_decode(outer, given_symbols, alphas, _checked=checked)
+            assert type(result) is tuple and result == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(whole_spaces(polyalphabetic=False))
+def test_bmd_on_the_whole_space_returns_the_received_word(case):
+    code, r = case
+    for word in (r, list(r)):
+        for checked in (False, True):
+            result = code.bmd_decode(word, _checked=checked)
+            assert type(result) is tuple and result == r
+    assert code._syndrome_table is None  # no table, and no syndrome
+    with pytest.raises(ParameterError):
+        code.bmd_decode(r[:-1] + (code.field.order,))
 
 
 def _noisy_words(gcc, count, seed):
@@ -423,6 +499,38 @@ def test_a_warmed_decoder_makes_no_field_call_per_coordinate(monkeypatch, tag):
         monkeypatch.setattr(Field, name, counted)
     warm = [gcc_decode(gcc, w) for w in words]
     assert calls == {"add": 0, "sub": 0, "validate_all": WARM_VALIDATIONS[tag]}
+    assert [r.to_json() for r in warm] == [r.to_json() for r in cold]
+
+
+# _Product calls per word on the warm pass below.  Per level, each block
+# makes one syndrome product (none in a whole-space inner code), one
+# quotient solve and one cancellation, and the outer code one product
+# per erasure trial (none in the whole space): rs4 makes 4 + 4 + 3 + 4
+# on its Reed-Solomon level and 4 + 4 + 4 on its whole-space level, hc
+# 1 + 3 + 3 and q7 2 + 2 + 2.
+WARM_PRODUCTS = {"rs4": 27, "hc": 7, "q7": 6}
+
+
+@pytest.mark.parametrize("tag", sorted(WARM_PRODUCTS))
+def test_a_warmed_decoder_makes_a_pinned_number_of_products_per_word(monkeypatch, tag):
+    config = os.path.join(os.path.dirname(RS4_CONFIG), f"{tag}.cfg")
+    gcc = cli.build_gcc_from_config(cli.parse_config(config))
+    words = _noisy_words(gcc, 60, seed=9)
+    cold = [gcc_decode(gcc, w) for w in words]
+    calls = [0]
+    call = code_module._Product.__call__
+
+    def counted(self, y):
+        calls[0] += 1
+        return call(self, y)
+
+    monkeypatch.setattr(code_module._Product, "__call__", counted)
+    warm, per_word = [], []
+    for w in words:
+        calls[0] = 0
+        warm.append(gcc_decode(gcc, w))
+        per_word.append(calls[0])
+    assert per_word == [WARM_PRODUCTS[tag]] * len(words)
     assert [r.to_json() for r in warm] == [r.to_json() for r in cold]
 
 
